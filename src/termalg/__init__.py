@@ -19,14 +19,12 @@ from .compose import (
 )
 from .deduction import (
     ClosureBounds,
-    Scenario,
     StabilityReport,
     SweepBounds,
     Violation,
     apply_rule,
     bounded_closure,
     check_stability,
-    named_scenarios,
     validate_report,
 )
 from .errors import (
@@ -34,6 +32,7 @@ from .errors import (
     InvalidPositionError,
     MalformedArraysError,
     MissingAssignmentError,
+    ModelSearchLimitError,
     NestedPatternsError,
     NonOrientableError,
     NotReducibleError,
@@ -62,6 +61,7 @@ from .reduction import (
     step_E,
     step_S,
 )
+from .scenarios import Scenario, named_scenarios
 from .terms import (
     Node,
     Position,
@@ -87,7 +87,6 @@ from .theories import (
     OracleConfig,
     Theory,
     Verdict,
-    decide_equiv,
     load_theory_file,
     theory_from_json,
     theory_from_name,

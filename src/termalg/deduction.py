@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .algebras import eval_term
+from .algebras import eval_term, satisfies
 from .compose import sigma_compose, star_compose
 from .errors import SideConditionError, UndecidedError
 from .essentiality import essential_positions, is_essential_subterm
@@ -501,8 +501,8 @@ def validate_report(report: StabilityReport) -> bool:
     """Re-check every recorded violation from scratch.
 
     The premise must be proved, r essential in both sides, and the composed
-    identity refuted; a counter-model certificate must actually distinguish
-    the composed terms.
+    identity refuted; a counter-model certificate must satisfy every axiom
+    of the theory and distinguish the composed terms.
     """
     theory = report.theory
     compose = _compose_for(report.mode)
@@ -523,9 +523,9 @@ def validate_report(report: StabilityReport) -> bool:
         if isinstance(v.certificate, CounterModel):
             assignment = dict(v.certificate.assignment)
             algebra = v.certificate.algebra
+            if not all(satisfies(algebra, ax.lhs, ax.rhs) for ax in theory.axioms):
+                return False
             if eval_term(algebra, v.left, assignment) == eval_term(algebra, v.right, assignment):
                 return False
     return True
 
-
-from .scenarios import Scenario, named_scenarios  # noqa: E402  (registry lives alongside the sweeps)

@@ -52,5 +52,9 @@ class MissingAssignmentError(TermAlgError):
     """Term evaluation hit a variable without an assigned value."""
 
 
+class ModelSearchLimitError(TermAlgError):
+    """Exhaustive finite-model search was asked for a carrier too large to scan."""
+
+
 class ParseError(TermAlgError):
     """Bad term, position, or file syntax."""

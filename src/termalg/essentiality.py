@@ -43,24 +43,31 @@ class EssentialityReport:
         return not self.undecided_vars and not self.undecided_positions
 
 
-def _report_cache(theory: Theory):
-    cache = getattr(theory, "_essentiality_cache", None)
+def _theory_cache(theory: Theory, name: str) -> dict:
+    """The dict a module keeps on a theory under the attribute name."""
+    cache = getattr(theory, name, None)
     if cache is None:
         cache = {}
-        theory._essentiality_cache = cache
+        setattr(theory, name, cache)
     return cache
 
 
 def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
-    """Classify every variable and position of t as essential/fictive/undecided."""
-    cache = _report_cache(theory)
-    canon = rename_canonical(t)
-    cached = cache.get(canon)
-    if cached is not None:
-        return _rename_report(cached, t)
-    report = _compute_report(canon, theory)
-    cache[canon] = report
-    return _rename_report(report, t)
+    """Classify every variable and position of t as essential/fictive/undecided.
+
+    Reports are computed once per variable-renaming class (keyed by
+    ``rename_canonical``) and renamed once per term.
+    """
+    by_term = _theory_cache(theory, "_essentiality_by_term")
+    report = by_term.get(t)
+    if report is None:
+        computed = _theory_cache(theory, "_essentiality_cache")
+        canon = rename_canonical(t)
+        report = computed.get(canon)
+        if report is None:
+            report = computed[canon] = _compute_report(canon, theory)
+        report = by_term[t] = _rename_report(report, t)
+    return report
 
 
 def _rename_report(report: EssentialityReport, t: Term) -> EssentialityReport:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import NotReducibleError, NotRemovableError, UndecidedError
-from .essentiality import essentiality_report
+from .essentiality import _theory_cache, essentiality_report
 from .terms import (
     Position,
     Term,
@@ -78,14 +78,6 @@ class ReductionTrace:
 
     def to_json_text(self):
         return json.dumps(self.to_json(), indent=2)
-
-
-def _theory_cache(theory: Theory, name: str):
-    cache = getattr(theory, name, None)
-    if cache is None:
-        cache = {}
-        setattr(theory, name, cache)
-    return cache
 
 
 def reducible_pairs(t: Term, theory: Theory) -> frozenset:

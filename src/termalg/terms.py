@@ -4,13 +4,23 @@ A term is either a variable leaf ``x_i`` (``Var``) or an application of the
 one binary symbol ``f`` to two terms (``Node``).  Positions are tuples over
 {1, 2} addressing nodes of the term tree; the empty tuple is the root.
 Everything here is immutable and pure.
+
+Terms are hash-consed: constructing a term equal to one still alive returns
+that same object, so equality is identity.  The intern tables hold their
+terms weakly and forget a term when it dies.  Hashes stay structural (the
+same value for the same tree in every process).  ``variables`` and
+``positions`` are computed once per term, when first asked, and every
+traversal here runs without recursion, so deep terms do not exhaust the
+interpreter stack.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
+from weakref import KeyedRef
 
 from .errors import (
     InvalidPositionError,
@@ -21,11 +31,44 @@ from .errors import (
 Position = tuple  # tuple of ints over {1, 2}; () is the root
 ROOT: Position = ()
 
+_set = object.__setattr__
+
+
+def _weak_table():
+    """An intern table: key -> KeyedRef, whose entry leaves when the term dies."""
+    table = {}
+
+    def evict(ref):
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    return table, evict
+
+
+_VARS, _evict_var = _weak_table()  # index -> Var
+_NODES, _evict_node = _weak_table()  # (id(left), id(right)), packed -> Node
+
+
+def _intern(table, evict, key, term):
+    """Enter term under key, or return the live term another caller entered first."""
+    ref = KeyedRef(term, evict, key)
+    old = table.setdefault(key, ref)
+    if old is not ref:
+        other = old()
+        if other is not None:
+            return other
+        table[key] = ref
+    return term
+
 
 class Term:
-    """Base class; instances are Var or Node."""
+    """Base class; instances are Var or Node.
 
-    __slots__ = ()
+    Equality is identity (terms are interned); ``_vars`` and ``_positions``
+    hold ``variables`` and ``positions`` once computed.
+    """
+
+    __slots__ = ("_hash", "_vars", "_positions", "__weakref__")
 
     # populated by subclasses
     length: int
@@ -38,6 +81,12 @@ class Term:
     def __str__(self):
         return term_to_text(self)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
+
 
 class Var(Term):
     """A variable leaf x_i with index i >= 1."""
@@ -48,50 +97,53 @@ class Var(Term):
     size = 0
     depth = 0
 
-    def __init__(self, index: int):
+    def __new__(cls, index: int):
         if not isinstance(index, int) or index < 1:
             raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Var is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.index == self.index
-
-    def __hash__(self):
-        return hash((0x5661, self.index))
+        ref = _VARS.get(index)
+        if ref is not None:
+            var = ref()
+            if var is not None:
+                return var
+        index = int(index)
+        var = object.__new__(cls)
+        _set(var, "index", index)
+        _set(var, "_hash", hash((0x5661, index)))
+        _set(var, "_vars", (index,))
+        _set(var, "_positions", (ROOT,))
+        return _intern(_VARS, _evict_var, index, var)
 
 
 class Node(Term):
-    """An application f(left, right); valuations are cached at construction."""
+    """An application f(left, right); valuations are computed at construction."""
 
-    __slots__ = ("left", "right", "length", "size", "depth", "_hash")
+    __slots__ = ("left", "right", "length", "size", "depth")
 
-    def __init__(self, left: Term, right: Term):
+    def __new__(cls, left: Term, right: Term):
+        # the pair (id(left), id(right)) packed into one int, which takes
+        # less memory than a tuple (ids are addresses, below 2**64); keys
+        # hold the ids of live terms only, so a hit needs no type check
+        key = id(left) << 64 | id(right)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         if not isinstance(left, Term) or not isinstance(right, Term):
             raise TypeError("Node children must be terms")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "length", left.length + right.length)
-        object.__setattr__(self, "size", left.size + right.size + 1)
-        object.__setattr__(self, "depth", max(left.depth, right.depth) + 1)
-        object.__setattr__(self, "_hash", hash((0x4e4f, hash(left), hash(right))))
+        node = object.__new__(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        _set(node, "length", left.length + right.length)
+        _set(node, "size", left.size + right.size + 1)
+        _set(node, "depth", max(left.depth, right.depth) + 1)
+        _set(node, "_hash", hash((0x4E4F, left._hash, right._hash)))
+        _set(node, "_vars", None)
+        _set(node, "_positions", None)
+        return _intern(_NODES, _evict_node, key, node)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Node is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Node):
-            return False
-        if self._hash != other._hash or self.length != other.length:
-            return False
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, left: Term, right: Term):
+        """Nothing to do: ``__new__`` returns the interned, fully built node."""
 
 
 def v(index: int) -> Var:
@@ -112,19 +164,22 @@ def positions(t: Term):
     """All positions of t, sorted by the padded-lexicographic order.
 
     For positions over {1, 2} that order coincides with plain tuple
-    comparison (a proper prefix sorts before its extensions).
+    comparison (a proper prefix sorts before its extensions), which is the
+    left-first preorder the walk below emits.
     """
-    out = []
-
-    def walk(u, prefix):
-        out.append(prefix)
-        if isinstance(u, Node):
-            walk(u.left, prefix + (1,))
-            walk(u.right, prefix + (2,))
-
-    walk(t, ())
-    out.sort()
-    return tuple(out)
+    got = t._positions
+    if got is None:
+        out = []
+        stack = [(t, ROOT)]
+        while stack:
+            u, p = stack.pop()
+            out.append(p)
+            if isinstance(u, Node):
+                stack.append((u.right, p + (2,)))
+                stack.append((u.left, p + (1,)))
+        got = tuple(out)
+        _set(t, "_positions", got)
+    return got
 
 
 def is_valid_position(t: Term, p: Position) -> bool:
@@ -149,18 +204,20 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
     """t with the subterm at position p replaced by s (single position)."""
-    if not p:
-        return s
-    if not isinstance(t, Node):
-        raise InvalidPositionError(
-            f"position {position_to_text(p)} is not valid for {term_to_text(t)}"
-        )
-    d = p[0]
-    if d == 1:
-        return Node(replace_at(t.left, p[1:], s), t.right)
-    if d == 2:
-        return Node(t.left, replace_at(t.right, p[1:], s))
-    raise InvalidPositionError(f"bad digit {d} in position")
+    path = []
+    u = t
+    for d in p:
+        if not isinstance(u, Node):
+            raise InvalidPositionError(
+                f"position {position_to_text(p)} is not valid for {term_to_text(t)}"
+            )
+        if d not in (1, 2):
+            raise InvalidPositionError(f"bad digit {d} in position")
+        path.append(u)
+        u = u.left if d == 1 else u.right
+    for u, d in zip(reversed(path), reversed(p)):
+        s = Node(s, u.right) if d == 1 else Node(u.left, s)
+    return s
 
 
 def prefix_leq(p: Position, q: Position) -> bool:
@@ -195,17 +252,20 @@ def valuations(t: Term):
 
 def variables(t: Term):
     """Variable indexes at the leaves of t, in left-to-right order."""
-    out = []
-
-    def walk(u):
-        if isinstance(u, Var):
-            out.append(u.index)
-        else:
-            walk(u.left)
-            walk(u.right)
-
-    walk(t)
-    return tuple(out)
+    got = t._vars
+    if got is None:
+        out = []
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u._vars is not None:
+                out.extend(u._vars)
+            else:
+                stack.append(u.right)
+                stack.append(u.left)
+        got = tuple(out)
+        _set(t, "_vars", got)
+    return got
 
 
 def kth_variable(t: Term, k: int) -> int:
@@ -223,12 +283,7 @@ def var_set(t: Term):
 
 def max_var_index(*terms: Term) -> int:
     """Largest variable index occurring in any of the terms (0 if none given)."""
-    m = 0
-    for t in terms:
-        for i in var_set(t):
-            if i > m:
-                m = i
-    return m
+    return max((max(variables(t)) for t in terms), default=0)
 
 
 def fresh_var_index(*terms: Term) -> int:
@@ -239,24 +294,35 @@ def fresh_var_index(*terms: Term) -> int:
 def subterm_set(t: Term):
     """Sub(t): the set of distinct subterms of t."""
     out = set()
-
-    def walk(u):
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if u in out:
-            return
-        out.add(u)
+            continue
+        out.add(u)  # left-first preorder, the insertion order callers see
         if isinstance(u, Node):
-            walk(u.left)
-            walk(u.right)
-
-    walk(t)
+            stack.append(u.right)
+            stack.append(u.left)
     return out
+
+
+_JOIN = object()  # stack marker: combine the last two results into a Node
 
 
 def substitute(t: Term, mapping) -> Term:
     """Replace each variable x_i with mapping[i] (variables not in mapping stay)."""
-    if isinstance(t, Var):
-        return mapping.get(t.index, t)
-    return Node(substitute(t.left, mapping), substitute(t.right, mapping))
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u is _JOIN:
+            right = out.pop()
+            out[-1] = Node(out[-1], right)
+        elif isinstance(u, Var):
+            out.append(mapping.get(u.index, u))
+        else:
+            stack += (_JOIN, u.right, u.left)
+    return out[0]
 
 
 def rename_canonical(t: Term) -> Term:
@@ -310,13 +376,15 @@ def from_arrays(a: TermArrays) -> Term:
     if tuple(a.positions) != tuple(sorted(pos_set)):
         raise MalformedArraysError("positions are not in padded-lexicographic order")
     leaf_vars = dict(zip(leaves, a.var_indexes))
-
-    def build(p):
+    # children follow their parent in the sorted list, so a reverse scan
+    # builds both children of a node before the node itself
+    built = {}
+    for p in reversed(a.positions):
         if p in leaf_vars:
-            return Var(leaf_vars[p])
-        return Node(build(p + (1,)), build(p + (2,)))
-
-    return build(())
+            built[p] = Var(leaf_vars[p])
+        else:
+            built[p] = Node(built.pop(p + (1,)), built.pop(p + (2,)))
+    return built[()]
 
 
 # ---------------------------------------------------------------------------
@@ -324,36 +392,56 @@ def from_arrays(a: TermArrays) -> Term:
 
 
 def term_to_text(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    return f"f({term_to_text(t.left)},{term_to_text(t.right)})"
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(f"x{u.index}")
+        else:
+            out.append("f(")
+            stack += (")", u.right, ",", u.left)
+    return "".join(out)
+
+
+_VAR_TOKEN = re.compile(r"x([0-9]+)")
 
 
 def parse_term(text: str) -> Term:
+    """Parse f(A,B) / x<digits> syntax in one left-to-right scan."""
     s = "".join(text.split())
-    term, rest = _parse_term(s)
-    if rest:
-        raise ParseError(f"trailing input {rest!r} after term")
-    return term
-
-
-def _parse_term(s: str):
-    if s.startswith("f("):
-        left, rest = _parse_term(s[2:])
-        if not rest.startswith(","):
-            raise ParseError(f"expected ',' at {rest!r}")
-        right, rest = _parse_term(rest[1:])
-        if not rest.startswith(")"):
-            raise ParseError(f"expected ')' at {rest!r}")
-        return Node(left, right), rest[1:]
-    if s.startswith("x"):
-        i = 1
-        while i < len(s) and s[i].isdigit():
+    i = 0
+    # one entry per open f( : None until its left argument is parsed
+    pending = []
+    while True:
+        if s.startswith("f(", i):
+            pending.append(None)
+            i += 2
+            continue
+        m = _VAR_TOKEN.match(s, i)
+        if m is None:
+            if s.startswith("x", i):
+                raise ParseError(f"expected digits after 'x' at {s[i:]!r}")
+            raise ParseError(f"expected term at {s[i:]!r}")
+        term = Var(int(m.group(1)))
+        i = m.end()
+        # close every f( whose right argument just ended
+        while pending and pending[-1] is not None:
+            if not s.startswith(")", i):
+                raise ParseError(f"expected ')' at {s[i:]!r}")
+            term = Node(pending.pop(), term)
             i += 1
-        if i == 1:
-            raise ParseError(f"expected digits after 'x' at {s!r}")
-        return Var(int(s[1:i])), s[i:]
-    raise ParseError(f"expected term at {s!r}")
+        if not pending:
+            break
+        if not s.startswith(",", i):
+            raise ParseError(f"expected ',' at {s[i:]!r}")
+        pending[-1] = term
+        i += 1
+    if i < len(s):
+        raise ParseError(f"trailing input {s[i:]!r} after term")
+    return term
 
 
 def position_to_text(p: Position) -> str:

@@ -19,7 +19,7 @@ from .algebras import (
     distinguish_over_models,
     enumerate_tables,
 )
-from .errors import NonOrientableError, ParseError
+from .errors import ModelSearchLimitError, NonOrientableError, ParseError
 from .terms import (
     Node,
     Term,
@@ -566,6 +566,9 @@ def _models_of_size(axiom_pairs, size):
     return _models_vectorized(axiom_pairs, size)
 
 
+_MAX_SCANNED_TABLES = 4_000_000  # 3**9 tables fit; 4**16 never finishes
+
+
 def _models_vectorized(axiom_pairs, size):
     """All satisfying tables of one size, via numpy over every flat table."""
     import numpy as np
@@ -573,10 +576,11 @@ def _models_vectorized(axiom_pairs, size):
     n = size
     cells = n * n
     count = n**cells
-    if count > 4_000_000:
-        # 4x4 and beyond cannot be exhausted; fall back to the generator so
-        # callers that really want it still get a stream.
-        return list(enumerate_tables(axiom_pairs, size))
+    if count > _MAX_SCANNED_TABLES:
+        raise ModelSearchLimitError(
+            f"model search at size {size} would scan {count} Cayley tables; "
+            f"at most {_MAX_SCANNED_TABLES} are scanned (sizes up to 3)"
+        )
     digits = np.arange(count)
     flat = np.empty((count, cells), dtype=np.int64)
     for c in range(cells - 1, -1, -1):
@@ -633,16 +637,9 @@ class IdempotentTheory(Theory):
         return self.normal_form(t)
 
 
-_SORT_KEY_MEMO = {}
-
-
 def term_sort_key(t: Term):
     """A cheap deterministic total order on terms: (Len, leaves, positions)."""
-    got = _SORT_KEY_MEMO.get(t)
-    if got is None:
-        got = (t.length, variables(t), positions(t))
-        _SORT_KEY_MEMO[t] = got
-    return got
+    return (t.length, variables(t), positions(t))
 
 
 class CommutativeTheory(Theory):
@@ -807,25 +804,29 @@ class AxiomsTheory(Theory):
             (u for u in subterm_set(t) if isinstance(u, Node)),
             key=lambda u: u.size,
         )[:3]
-        for p in positions(t):
-            sub = subterm_at(t, p)
+        # subterms in position order (left-first preorder), each with its
+        # context: (parent, side, the parent's context), None at the root
+        stack = [(t, None)]
+        while stack:
+            sub, context = stack.pop()
+            # the largest replacement that keeps the result within the cap;
+            # an instance of dst has Siz(dst) plus the sizes its variables bind
+            room = cap - t.size + sub.size
             for ax in self._axioms:
                 for src, dst in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)):
                     binding = match_pattern(src, sub)
                     if binding is None:
                         continue
-                    missing = sorted(var_set(dst) - binding.keys())
-                    if not missing:
-                        new = replace_at(t, p, apply_binding(dst, binding))
-                        if new.size <= cap:
-                            out.append(new)
-                    else:
-                        for combo in itertools.product(pool, repeat=len(missing)):
-                            b = dict(binding)
-                            b.update({m: c for m, c in zip(missing, combo)})
-                            new = replace_at(t, p, apply_binding(dst, b))
-                            if new.size <= cap:
-                                out.append(new)
+                    dst_vars = variables(dst)
+                    missing = sorted(set(dst_vars) - binding.keys())
+                    for combo in itertools.product(pool, repeat=len(missing)):
+                        b = dict(binding)
+                        b.update(zip(missing, combo))
+                        if dst.size + sum(b[i].size for i in dst_vars) <= room:
+                            out.append(_plug(context, apply_binding(dst, b)))
+            if isinstance(sub, Node):
+                stack.append((sub.right, (sub, 2, context)))
+                stack.append((sub.left, (sub, 1, context)))
         return out
 
     def _bfs_prove(self, t, s):
@@ -860,6 +861,14 @@ class AxiomsTheory(Theory):
         return None
 
 
+def _plug(context, s: Term) -> Term:
+    """The term whose subterm at the hole of context is s."""
+    while context is not None:
+        parent, side, context = context
+        s = Node(s, parent.right) if side == 1 else Node(parent.left, s)
+    return s
+
+
 def _is_associativity(ax: Identity) -> bool:
     for cand in (ax, ax.flipped()):
         b = match_pattern(cand.lhs, ASSOC.lhs)
@@ -873,18 +882,6 @@ def _is_associativity(ax: Identity) -> bool:
         if apply_binding(cand.rhs, remap) == ASSOC.rhs:
             return True
     return False
-
-
-# --- public operations --------------------------------------------------------
-
-
-def decide_equiv(theory: Theory, t: Term, s: Term) -> Verdict:
-    return theory.decide(t, s)
-
-
-def enumerate_models(theory: Theory, size: int):
-    """Stream every model of the theory's axioms of exactly the given size."""
-    yield from enumerate_tables(theory.axiom_pairs(), size)
 
 
 # --- names and files ------------------------------------------------------------

@@ -39,6 +39,21 @@ class TestExitCodes:
     def test_success(self, capsys):
         assert invoke(capsys, "arrays", "x1")[0] == 0
 
+    def test_arrays_of_a_deep_chain(self, capsys):
+        depth = 3000
+        code, out, err = invoke(capsys, "arrays", "f(" * depth + "x1" + ",x2)" * depth)
+        assert code == 0, err
+        assert out.rstrip().endswith("V=(1" + ",2" * depth + ")")
+
+    def test_model_search_beyond_size_3_is_a_domain_error(self, capsys):
+        # no model of size <= 3 separates this pair (ROADMAP item 4)
+        args = ("equiv", "--theory", "sg-abs-1-1", "f(f(x4,x2),x1)", "f(x4,x1)")
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0 and out.startswith("Refuted")
+        code, _, err = invoke(capsys, *args, "--max-model-size", "4")
+        assert code == 1
+        assert "size 4" in err
+
 
 class TestNormalize:
     def test_s_mode(self, capsys):

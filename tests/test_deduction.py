@@ -1,7 +1,10 @@
 """Derivation rules, bounded closure, and the stability sweep checkers."""
 
+import dataclasses
+
 import pytest
 
+from termalg.algebras import FiniteAlgebra, distinguishing_assignment, satisfies
 from termalg.deduction import (
     ClosureBounds,
     RULE_TAGS,
@@ -15,7 +18,7 @@ from termalg.deduction import (
 )
 from termalg.errors import SideConditionError
 from termalg.terms import parse_term, v
-from termalg.theories import Identity
+from termalg.theories import CounterModel, Identity, theory_from_name
 
 from conftest import shared_theory
 
@@ -182,6 +185,20 @@ class TestSweeps:
         sample = report.violations[0]
         assert assoc.equal(sample.t, sample.s) is True
         assert assoc.equal(sample.left, sample.right) is False
+
+    def test_validate_report_rejects_a_counter_model_that_is_no_model(self):
+        thy = theory_from_name("grp-rule:f(f(x1,x2),x3)=f(x1,x3)")
+        report = check_stability(thy, "SR1", SweepBounds(3, 1, 1))
+        assert report.violations and validate_report(report)
+        bad = FiniteAlgebra.from_rows([[0, 0], [0, 1]])
+        assert not satisfies(bad, thy.rule.lhs, thy.rule.rhs)
+        v0 = report.violations[0]
+        assignment = distinguishing_assignment(bad, v0.left, v0.right)
+        assert assignment is not None  # it separates, so only the axioms can reject it
+        report.violations[0] = dataclasses.replace(
+            v0, certificate=CounterModel(bad, tuple(sorted(assignment.items())))
+        )
+        assert not validate_report(report)
 
     def test_bounded_sweep_not_exhaustive(self):
         from termalg.theories import AxiomsTheory

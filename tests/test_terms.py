@@ -1,8 +1,12 @@
 """Term core: positions, orders, valuations, arrays, text syntax, enumeration."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
+from termalg import terms
 from termalg.errors import InvalidPositionError, MalformedArraysError, ParseError
 from termalg.terms import (
     Node,
@@ -68,6 +72,78 @@ class TestStructure:
         b = f(v(1), f(v(2), v(1)))
         assert a == b and hash(a) == hash(b)
         assert a != f(v(1), f(v(1), v(2)))
+
+
+def structural_hash(t):
+    """The hash formula terms had before interning, computed from scratch."""
+    if isinstance(t, Var):
+        return hash((0x5661, t.index))
+    return hash((0x4E4F, structural_hash(t.left), structural_hash(t.right)))
+
+
+class TestInterning:
+    def test_equal_terms_are_one_object(self):
+        text = "f(x3,f(f(x1,x2),x2))"
+        assert parse_term(text) is parse_term(text)
+        assert Node(Var(1), Var(2)) is Node(Var(1), Var(2))
+        assert Var(7) is Var(7)
+        assert replace_at(SAMPLE, (1,), v(3)) is SAMPLE
+
+    @given(terms_strategy())
+    def test_hash_is_the_structural_formula(self, t):
+        assert hash(t) == structural_hash(t)
+        assert parse_term(term_to_text(t)) is t
+
+    def test_table_releases_dead_terms(self):
+        gc.collect()
+        gc.disable()  # no collection of unrelated garbage may move the counts
+        try:
+            nodes, leaves = len(terms._NODES), len(terms._VARS)
+            t = Var(987_654)
+            for _ in range(50):
+                t = Node(t, Var(1))
+            assert len(terms._NODES) == nodes + 50
+            assert len(terms._VARS) == leaves + 1
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+            assert len(terms._NODES) == nodes
+            assert len(terms._VARS) == leaves
+        finally:
+            gc.enable()
+        # a rebuilt term is a new, correct object
+        assert term_to_text(Node(Var(987_654), Var(1))) == "f(x987654,x1)"
+
+    def test_cached_traversals(self):
+        t = parse_term("f(f(x5,x2),f(x2,x9))")
+        assert variables(t) is variables(t) == (5, 2, 2, 9)
+        assert positions(t) is positions(t)
+        assert positions(t) == tuple(sorted(positions(t)))
+
+
+class TestDeepTerms:
+    DEPTH = 3000
+
+    def chain_text(self):
+        return "f(" * self.DEPTH + "x1" + ",x2)" * self.DEPTH
+
+    def test_chain_round_trips(self):
+        text = self.chain_text()
+        t = parse_term(text)
+        assert t.depth == self.DEPTH and t.length == self.DEPTH + 1
+        assert term_to_text(t) == text
+        arrays = to_arrays(t)
+        assert arrays.var_indexes == (1,) + (2,) * self.DEPTH
+        assert from_arrays(arrays) is t
+        deepest = (1,) * self.DEPTH
+        assert subterm_at(t, deepest) == v(1)
+        assert replace_at(t, deepest, v(3)) == substitute(t, {1: v(3)})
+        assert rename_canonical(substitute(t, {1: v(4), 2: v(6)})) is t
+        assert len(subterm_set(t)) == self.DEPTH + 2
+
+    def test_parse_errors_at_depth(self):
+        with pytest.raises(ParseError):
+            parse_term(self.chain_text()[:-1])
 
 
 class TestPositions:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from termalg.algebras import eval_term, satisfies
-from termalg.errors import ParseError
+from termalg.errors import ModelSearchLimitError, ParseError
 from termalg.terms import enumerate_terms, parse_term, random_term, v
 from termalg.theories import (
     AxiomsTheory,
@@ -236,3 +236,15 @@ class TestModels:
 
         direct = list(enumerate_tables(commutative.axiom_pairs(), 2))
         assert len([m for m in commutative.models(2) if m.size == 2]) == len(direct)
+
+    def test_size_4_search_is_a_domain_error(self):
+        thy = theory_from_name("commutative", OracleConfig(max_model_size=4))
+        with pytest.raises(ModelSearchLimitError):
+            thy.models()
+        # a refutation found at a size <= 3 still returns before size 4
+        verdict = thy.decide(parse_term("f(x1,x2)"), parse_term("f(x1,x1)"))
+        assert verdict.refuted and verdict.certificate.algebra.size <= 3
+        # no model of size <= 3 separates this pair, so the search reaches size 4
+        thy = theory_from_name("sg-abs-1-1", OracleConfig(max_model_size=4))
+        with pytest.raises(ModelSearchLimitError):
+            thy.decide(parse_term("f(f(x4,x2),x1)"), parse_term("f(x4,x1)"))
