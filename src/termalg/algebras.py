@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import MissingAssignmentError
-from .terms import Node, Term, Var, var_set
+from .terms import Term, Var, fold_term, var_set
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,16 @@ def distinguish_over_models(models, lhs: Term, rhs: Term):
     grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij") if k else []
     cols = {x: g.reshape(-1) for x, g in zip(vs, grids)}
     count, na = len(models), n**k
-    rows = np.arange(count)
+    rows = np.arange(count)[:, None]
     memo = {}
 
-    def ev(u):
-        got = memo.get(u)
-        if got is None:
-            if isinstance(u, Var):
-                got = np.broadcast_to(cols[u.index], (count, na))
-            else:
-                got = tables[rows[:, None], ev(u.left), ev(u.right)]
-            memo[u] = got
-        return got
+    def leaf(x):
+        return np.broadcast_to(cols[x.index], (count, na))
 
-    diff = np.argwhere(ev(lhs) != ev(rhs))
+    def node(left, right):
+        return tables[rows, left, right]
+
+    diff = np.argwhere(fold_term(lhs, leaf, node, memo) != fold_term(rhs, leaf, node, memo))
     if diff.size == 0:
         return None
     mi, ai = diff[0]

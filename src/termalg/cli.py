@@ -234,17 +234,19 @@ def emit_dot(t) -> str:
     """DOT digraph of the term tree: node ids are position strings, internal
     nodes labeled f, leaves labeled x<i>, edges ordered left-then-right."""
     nodes, edges = [], []
-
-    def walk(u, p):
-        pid = position_to_text(p)
-        label = "f" if isinstance(u, Node) else f"x{u.index}"
-        nodes.append(f'  "{pid}" [label="{label}"];')
+    # left-first preorder; each edge is listed when its child is visited
+    stack = [(t, "", None)]
+    while stack:
+        u, digits, parent_id = stack.pop()
+        pid = digits or position_to_text(())
+        if parent_id is not None:
+            edges.append(f'  "{parent_id}" -> "{pid}";')
         if isinstance(u, Node):
-            for d, child in ((1, u.left), (2, u.right)):
-                edges.append(f'  "{pid}" -> "{position_to_text(p + (d,))}";')
-                walk(child, p + (d,))
-
-    walk(t, ())
+            nodes.append(f'  "{pid}" [label="f"];')
+            stack.append((u.right, digits + "2", pid))
+            stack.append((u.left, digits + "1", pid))
+        else:
+            nodes.append(f'  "{pid}" [label="x{u.index}"];')
     return "\n".join(["digraph term {"] + nodes + edges + ["}"])
 
 

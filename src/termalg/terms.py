@@ -325,6 +325,32 @@ def substitute(t: Term, mapping) -> Term:
     return out[0]
 
 
+def fold_term(t: Term, leaf, node, memo):
+    """Bottom-up value of t: leaf(x) at a variable, node(left, right) above.
+
+    memo maps terms to values (never None) and keeps every value computed,
+    so shared subterms are folded once; a term already in memo is returned
+    without a walk.
+    """
+    got = memo.get(t)
+    if got is not None:
+        return got
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u in memo:
+            continue
+        if isinstance(u, Var):
+            memo[u] = leaf(u)
+            continue
+        left, right = memo.get(u.left), memo.get(u.right)
+        if left is None or right is None:
+            stack += (u, u.right, u.left)
+        else:
+            memo[u] = node(left, right)
+    return memo[t]
+
+
 def rename_canonical(t: Term) -> Term:
     """Rename variables to x1, x2, ... by first left-to-right occurrence."""
     seen = {}
@@ -425,7 +451,10 @@ def parse_term(text: str) -> Term:
             if s.startswith("x", i):
                 raise ParseError(f"expected digits after 'x' at {s[i:]!r}")
             raise ParseError(f"expected term at {s[i:]!r}")
-        term = Var(int(m.group(1)))
+        index = int(m.group(1))
+        if index < 1:
+            raise ParseError(f"variable indexes start at 1, got {m.group()!r}")
+        term = Var(index)
         i = m.end()
         # close every f( whose right argument just ended
         while pending and pending[-1] is not None:

@@ -25,6 +25,7 @@ from .terms import (
     Term,
     Var,
     enumerate_terms_by_length,
+    fold_term,
     fresh_var_index,
     max_var_index,
     parse_term,
@@ -306,45 +307,62 @@ def _two_letter_patterns(i: int, j: int):
     length <= 6 over a 5-letter alphabet; returns the set of first-occurrence
     patterns (a, b, c, d) for which the words ab and cd are equal in the
     theory.  Validated against the bounded deduction oracle in the tests.
+
+    A move rewrites a factor w[start:end] of a word of length n, split into
+    three nonempty blocks at c1 < c2, to block i followed by block j; it is
+    used when the result has length 2..6.  The result's letters are a fixed
+    selection of the word's letters, so one move maps every word of length n
+    at once.  Words of each length are numbered by their base-5 code after
+    the shorter ones; a move is one int32 array from the codes of its length
+    to the numbers of the rewrites.  Classes come from min-label propagation
+    along every move plus pointer jumping, until a full pass changes nothing.
     """
-    alphabet = range(5)
-    max_len = 6
-    words = []
+    import numpy as np
+
+    letters, max_len = 5, 6
+    offset, total = {}, 0
     for n in range(2, max_len + 1):
-        words.extend(itertools.product(alphabet, repeat=n))
-    index = {w: k for k, w in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for w in words:
-        n = len(w)
+        offset[n] = total
+        total += letters**n
+    moves = []  # (number of the first word of length n, rewrite numbers)
+    for n in range(3, max_len + 1):
+        digits = np.indices((letters,) * n, dtype=np.int32).reshape(n, -1)
         for start in range(n):
             for end in range(start + 3, n + 1):
-                factor = w[start:end]
-                # all 3-way splits of the factor into nonempty blocks
-                m = len(factor)
-                for c1 in range(1, m - 1):
-                    for c2 in range(c1 + 1, m):
-                        blocks = (factor[:c1], factor[c1:c2], factor[c2:])
-                        phi = blocks[i - 1] + blocks[j - 1]
-                        new = w[:start] + phi + w[end:]
-                        if 2 <= len(new) <= max_len:
-                            union(index[w], index[new])
+                for c1 in range(start + 1, end - 1):
+                    for c2 in range(c1 + 1, end):
+                        blocks = (range(start, c1), range(c1, c2), range(c2, end))
+                        picked = [*range(start), *blocks[i - 1], *blocks[j - 1], *range(end, n)]
+                        if not 2 <= len(picked) <= max_len:
+                            continue
+                        code = np.full(letters**n, offset[len(picked)], dtype=np.int32)
+                        weight = 1
+                        for c in reversed(picked):
+                            code += weight * digits[c]
+                            weight *= letters
+                        moves.append((offset[n], code))
+    label = np.arange(total, dtype=np.int32)
+    changed = True
+    while changed:
+        before = label.copy()
+        for lo, dst in moves:
+            low = np.minimum(label[lo : lo + len(dst)], label[dst])
+            label[lo : lo + len(dst)] = low
+            np.minimum.at(label, dst, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        changed = not np.array_equal(before, label)
+
+    def number(a, b):
+        return offset[2] + a * letters + b
+
     patterns = set()
-    for a, b in itertools.product(alphabet, repeat=2):
-        for c, d in itertools.product(alphabet, repeat=2):
-            if find(index[(a, b)]) == find(index[(c, d)]):
-                patterns.add(_occurrence_pattern((a, b, c, d)))
+    for a, b, c, d in itertools.product(range(letters), repeat=4):
+        if label[number(a, b)] == label[number(c, d)]:
+            patterns.add(_occurrence_pattern((a, b, c, d)))
     return frozenset(patterns)
 
 
@@ -364,13 +382,24 @@ def _ground_collapse_proved(rule: Identity) -> bool:
     """Bounded proof that a rule merges all composite terms into one class.
 
     Runs congruence closure over every term of size <= 4 built from four
-    leaf symbols, seeding with all syntactic instances of the rule (unbound
-    variables range over the leaves), and asks whether f(a,b) and f(c,d)
-    with four distinct leaves end up identified.  Sound: every union is a
-    rule instance or a congruence step; the leaves act as free variables.
+    leaf symbols and asks whether f(a,b) and f(c,d) with four distinct
+    leaves end up identified.  Sound: every union is a rule instance or a
+    congruence step; the leaves act as free variables.
+
+    The seeds are the rule's instances at the root: each universe term sub
+    that matches one side is united with the other side under the binding
+    (unbound variables range over the leaves), when that instance inst is
+    in the universe.  Its Len is read off the binding before it is built.
+    This gives the same partition as seeding with every instance in every
+    context, C[sub] ~ C[inst], for all C with both terms in the universe:
+    the universe is closed under subterms, so sub, inst and each
+    intermediate C'[sub] and C'[inst] lie in it, and congruence re-derives
+    C[sub] ~ C[inst] from sub ~ inst one context level at a time.
+    Conversely each root seed is such a seed with the empty context.
     """
     leaves = [Var(i) for i in range(1, 5)]
-    universe = [t for t in enumerate_terms_by_length(5, 4)]
+    max_len = 5
+    universe = list(enumerate_terms_by_length(max_len, 4))
     index = {t: k for k, t in enumerate(universe)}
     parent = list(range(len(universe)))
 
@@ -385,37 +414,37 @@ def _ground_collapse_proved(rule: Identity) -> bool:
         if rx != ry:
             parent[rx] = ry
 
-    for t in universe:
-        k = index[t]
-        for p in positions(t):
-            sub = subterm_at(t, p)
-            for src, dst in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-                binding = match_pattern(src, sub)
-                if binding is None:
-                    continue
-                missing = sorted(var_set(dst) - binding.keys())
-                for combo in itertools.product(leaves, repeat=len(missing)):
-                    b = dict(binding)
-                    b.update(zip(missing, combo))
-                    new = replace_at(t, p, apply_binding(dst, b))
-                    j = index.get(new)
-                    if j is not None:
-                        union(k, j)
+    directions = [
+        (src, dst, variables(dst)) for src, dst in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs))
+    ]
+    for k, sub in enumerate(universe):
+        for src, dst, dst_vars in directions:
+            binding = match_pattern(src, sub)
+            if binding is None:
+                continue
+            # Len of the instance; an unbound variable takes a leaf
+            if sum(binding[i].length if i in binding else 1 for i in dst_vars) > max_len:
+                continue
+            missing = sorted(set(dst_vars) - binding.keys())
+            for combo in itertools.product(leaves, repeat=len(missing)):
+                binding.update(zip(missing, combo))
+                union(k, index[apply_binding(dst, binding)])
 
-    nodes = [(k, t) for k, t in enumerate(universe) if isinstance(t, Node)]
-    while True:
+    # congruence: nodes whose children share classes share a class
+    nodes = [
+        (k, index[t.left], index[t.right]) for k, t in enumerate(universe) if isinstance(t, Node)
+    ]
+    changed = True
+    while changed:
         changed = False
+        root = [find(k) for k in range(len(universe))]
         sig = {}
-        for k, t in nodes:
-            s = (find(index[t.left]), find(index[t.right]))
-            first = sig.setdefault(s, k)
+        for k, l, r in nodes:
+            first = sig.setdefault((root[l], root[r]), k)
             if find(first) != find(k):
                 union(first, k)
                 changed = True
-        if not changed:
-            return find(index[Node(leaves[0], leaves[1])]) == find(
-                index[Node(leaves[2], leaves[3])]
-            )
+    return find(index[Node(leaves[0], leaves[1])]) == find(index[Node(leaves[2], leaves[3])])
 
 
 _X1, _X2, _X3 = Var(1), Var(2), Var(3)
@@ -622,16 +651,7 @@ class IdempotentTheory(Theory):
         return (IDEMPOTENT_AXIOM,)
 
     def normal_form(self, t: Term) -> Term:
-        got = self._nf_memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Var):
-            result = t
-        else:
-            l, r = self.normal_form(t.left), self.normal_form(t.right)
-            result = l if l == r else Node(l, r)
-        self._nf_memo[t] = result
-        return result
+        return fold_term(t, _leaf_itself, _collapse_pair, self._nf_memo)
 
     def canonical_key(self, t: Term):
         return self.normal_form(t)
@@ -640,6 +660,28 @@ class IdempotentTheory(Theory):
 def term_sort_key(t: Term):
     """A cheap deterministic total order on terms: (Len, leaves, positions)."""
     return (t.length, variables(t), positions(t))
+
+
+def _sorts_before(a: Term, b: Term) -> bool:
+    """term_sort_key(a) < term_sort_key(b), reading only what decides it."""
+    if a.length != b.length:
+        return a.length < b.length
+    va, vb = variables(a), variables(b)
+    if va != vb:
+        return va < vb
+    return positions(a) < positions(b)
+
+
+def _leaf_itself(x: Var) -> Term:
+    return x
+
+
+def _collapse_pair(l: Term, r: Term) -> Term:
+    return l if l == r else Node(l, r)
+
+
+def _sorted_pair(l: Term, r: Term) -> Node:
+    return Node(r, l) if _sorts_before(r, l) else Node(l, r)
 
 
 class CommutativeTheory(Theory):
@@ -657,18 +699,7 @@ class CommutativeTheory(Theory):
         return (COMMUTATIVE_AXIOM,)
 
     def normal_form(self, t: Term) -> Term:
-        got = self._nf_memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Var):
-            result = t
-        else:
-            l, r = self.normal_form(t.left), self.normal_form(t.right)
-            if term_sort_key(r) < term_sort_key(l):
-                l, r = r, l
-            result = Node(l, r)
-        self._nf_memo[t] = result
-        return result
+        return fold_term(t, _leaf_itself, _sorted_pair, self._nf_memo)
 
     def canonical_key(self, t: Term):
         return self.normal_form(t)

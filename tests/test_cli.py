@@ -45,6 +45,25 @@ class TestExitCodes:
         assert code == 0, err
         assert out.rstrip().endswith("V=(1" + ",2" * depth + ")")
 
+    def test_variable_x0_is_a_parse_error(self, capsys):
+        code, _, err = invoke(capsys, "arrays", "x0")
+        assert code == 1
+        assert "error:" in err
+
+    def test_dot_of_a_deep_chain(self, capsys):
+        depth = 1500
+        code, out, err = invoke(capsys, "dot", "f(" * depth + "x1" + ",x2)" * depth)
+        assert code == 0, err
+        assert out.count("->") == 2 * depth
+
+    @pytest.mark.parametrize("theory", ["commutative", "idempotent", "assoc"])
+    def test_equiv_of_a_deep_chain(self, capsys, theory):
+        depth = 1500
+        chain = "f(" * depth + "x1" + ",x2)" * depth
+        code, out, err = invoke(capsys, "equiv", "--theory", theory, chain, "x1")
+        assert code == 0, err
+        assert out.startswith("Refuted")
+
     def test_model_search_beyond_size_3_is_a_domain_error(self, capsys):
         # no model of size <= 3 separates this pair (ROADMAP item 4)
         args = ("equiv", "--theory", "sg-abs-1-1", "f(f(x4,x2),x1)", "f(x4,x1)")

@@ -14,6 +14,7 @@ from termalg.terms import (
     enumerate_terms,
     enumerate_terms_by_length,
     f,
+    fold_term,
     from_arrays,
     fresh_var_index,
     is_valid_position,
@@ -144,6 +145,21 @@ class TestDeepTerms:
     def test_parse_errors_at_depth(self):
         with pytest.raises(ParseError):
             parse_term(self.chain_text()[:-1])
+
+    def test_fold_visits_each_shared_subterm_once(self):
+        calls = []
+
+        def node(left, right):
+            calls.append((left, right))
+            return left + right
+
+        t = parse_term(self.chain_text())
+        memo = {}
+        assert fold_term(t, lambda x: x.index, node, memo) == 1 + 2 * self.DEPTH
+        assert len(calls) == self.DEPTH and len(memo) == self.DEPTH + 2
+        square = f(t, t)
+        assert fold_term(square, lambda x: x.index, node, memo) == 2 + 4 * self.DEPTH
+        assert len(calls) == self.DEPTH + 1
 
 
 class TestPositions:
@@ -295,7 +311,7 @@ class TestTextSyntax:
         assert parse_term(" f( x3 , f(f(x1,x2),x2) ) ") == SAMPLE
 
     def test_parse_errors(self):
-        for bad in ("f(x1)", "f(x1,x2", "x", "g(x1,x2)", "f(x1,x2)x"):
+        for bad in ("f(x1)", "f(x1,x2", "x", "g(x1,x2)", "f(x1,x2)x", "x0", "f(x1,x00)"):
             with pytest.raises(ParseError):
                 parse_term(bad)
 

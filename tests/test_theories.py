@@ -15,8 +15,12 @@ from termalg.theories import (
     Derivation,
     DistinctCanonicalKeys,
     ExhaustedBounds,
+    GroupoidSingleRuleTheory,
     Identity,
     OracleConfig,
+    _sorts_before,
+    _two_letter_patterns,
+    term_sort_key,
     theory_from_json,
     theory_from_name,
 )
@@ -104,6 +108,19 @@ class TestExactDeciders:
                     for m in models:
                         assert satisfies_pair(m, t, s)
 
+    def test_sort_order_matches_the_sort_key(self):
+        rng = random.Random(3)
+        terms = [random_term(rng, 3, 2) for _ in range(60)]
+        for t, s in itertools.product(terms, repeat=2):
+            assert _sorts_before(t, s) == (term_sort_key(t) < term_sort_key(s))
+
+    def test_normal_forms_of_a_deep_chain(self, idempotent, commutative):
+        depth = 3000
+        chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+        assert idempotent.normal_form(chain) is chain
+        flipped = parse_term("f(x2," * (depth - 1) + "f(x1,x2)" + ")" * (depth - 1))
+        assert commutative.normal_form(chain) is flipped
+
     def test_equivalence_relation_sample(self, idempotent):
         terms = list(enumerate_terms(2, 2))
         for t in terms:
@@ -136,6 +153,59 @@ class TestSemigroupAbsorption:
             s = random_term(rng, 3, 3)
             if brute_force_equal(thy, t, s) is False:
                 assert thy.equal(t, s) is False
+
+
+# The tables and flags below were recorded from the word-by-word closure and
+# the every-position collapse proof that the faster closures replaced.
+ONLY_EQUAL_WORDS = frozenset({(0, 0, 0, 0), (0, 1, 0, 1)})
+ALL_SQUARES_EQUAL = frozenset({(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1)})
+ALL_WORDS_EQUAL = frozenset(
+    {
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 2),
+        (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 1, 0), (0, 1, 1, 1),
+        (0, 1, 1, 2), (0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 2, 2), (0, 1, 2, 3),
+    }
+)  # fmt: skip
+TWO_LETTER_PATTERNS = {
+    (1, 1): ONLY_EQUAL_WORDS,
+    (1, 2): ONLY_EQUAL_WORDS,
+    (1, 3): ONLY_EQUAL_WORDS,
+    (2, 1): ALL_WORDS_EQUAL,
+    (2, 2): ALL_SQUARES_EQUAL,
+    (2, 3): ONLY_EQUAL_WORDS,
+    (3, 1): ALL_WORDS_EQUAL,
+    (3, 2): ALL_WORDS_EQUAL,
+    (3, 3): ONLY_EQUAL_WORDS,
+}
+
+# rule -> (convergent, node_collapse, exact)
+SINGLE_RULE_FLAGS = {
+    "f(f(x1,x2),x3)=f(x1,x2)": (True, False, True),
+    "f(f(x1,x2),x3)=f(x1,x3)": (True, False, True),
+    "f(f(x1,x2),x3)=f(x2,x1)": (False, True, True),
+    "f(f(x1,x2),x3)=f(x2,x3)": (True, False, True),
+    "f(f(x1,x2),x3)=f(x3,x1)": (False, True, True),
+    "f(f(x1,x2),x3)=f(x3,x2)": (False, True, True),
+    "f(x1,f(x2,x3))=f(x1,x2)": (True, False, True),
+    "f(x1,f(x2,x3))=f(x1,x3)": (True, False, True),
+    "f(x1,f(x2,x3))=f(x2,x1)": (False, True, True),
+    "f(x1,f(x2,x3))=f(x2,x3)": (True, False, True),
+    "f(x1,f(x2,x3))=f(x3,x1)": (False, True, True),
+    "f(x1,f(x2,x3))=f(x3,x2)": (False, True, True),
+    "f(f(x1,x1),x2)=f(x2,x2)": (False, False, False),
+    "f(x1,x2)=f(x2,x1)": (False, False, False),
+}
+
+
+class TestSetUpClosures:
+    @pytest.mark.parametrize("ij", sorted(TWO_LETTER_PATTERNS))
+    def test_two_letter_patterns(self, ij):
+        assert _two_letter_patterns(*ij) == TWO_LETTER_PATTERNS[ij]
+
+    @pytest.mark.parametrize("rule", sorted(SINGLE_RULE_FLAGS))
+    def test_single_rule_flags(self, rule):
+        thy = GroupoidSingleRuleTheory(Identity.parse(rule))
+        assert (thy.convergent, thy.node_collapse, thy.exact) == SINGLE_RULE_FLAGS[rule]
 
 
 class TestBoundedOracle:
