@@ -1,12 +1,14 @@
-"""Finite algebras with one binary operation: Cayley tables, satisfaction, enumeration."""
+"""Finite algebras with one binary operation: Cayley tables, one vectorised
+evaluator over packed stacks of them, satisfaction and enumeration."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import MissingAssignmentError
-from .terms import Term, Var, fold_term, var_set
+from .terms import Term, fold_term, var_set
 
 
 @dataclass(frozen=True)
@@ -30,9 +32,6 @@ class FiniteAlgebra:
                 if not 0 <= x < self.size:
                     raise ValueError(f"table entry {x} outside the carrier")
 
-    def apply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @classmethod
     def from_rows(cls, rows) -> "FiniteAlgebra":
         rows = tuple(tuple(r) for r in rows)
@@ -49,75 +48,128 @@ class FiniteAlgebra:
     def to_flat(self):
         return [x for row in self.table for x in row]
 
+    @cached_property
+    def _stack(self) -> "ModelStack":
+        """This algebra alone, packed for the evaluator (built on first use)."""
+        return ModelStack(self.size, self.table)
+
 
 def eval_term(algebra: FiniteAlgebra, t: Term, assignment) -> int:
-    """Evaluate t bottom-up through the Cayley table.
+    """Evaluate t bottom-up through the Cayley table: the scalar reference.
 
     assignment maps variable indexes to carrier elements and must cover var(t).
     """
-    if isinstance(t, Var):
+
+    def leaf(x):
         try:
-            return assignment[t.index]
+            return assignment[x.index]
         except KeyError:
-            raise MissingAssignmentError(f"no value assigned to x{t.index}") from None
-    return algebra.table[eval_term(algebra, t.left, assignment)][
-        eval_term(algebra, t.right, assignment)
-    ]
+            raise MissingAssignmentError(f"no value assigned to x{x.index}") from None
+
+    return fold_term(t, leaf, lambda a, b: algebra.table[a][b], {})
+
+
+class ModelStack:
+    """Same-size algebras packed for the vectorised evaluator.
+
+    ``flat`` holds every Cayley table row-major, one after another, as one
+    intp array, and ``offs`` the start of each table as a (count, 1) column,
+    so f(a, b) in model m is ``flat[offs[m] + a*size + b]``.  The algebras
+    themselves are built on first use.
+    """
+
+    def __init__(self, size: int, tables):
+        import numpy as np
+
+        self.size = size
+        self.flat = np.asarray(tables, dtype=np.intp).reshape(-1)
+        self.offs = np.arange(0, self.flat.size, size * size, dtype=np.intp)[:, None]
+
+    def __len__(self):
+        return len(self.offs)
+
+    @cached_property
+    def algebras(self):
+        n = self.size
+        return [FiniteAlgebra.from_flat(n, row) for row in self.flat.reshape(-1, n * n).tolist()]
+
+
+@lru_cache(maxsize=64)
+def _assignments(n: int, k: int):
+    """Every assignment of k variables into n elements, row-major: a read-only
+    (k, n**k) array whose column j is the j-th assignment."""
+    import numpy as np
+
+    grid = np.indices((n,) * k, dtype=np.intp).reshape(k, n**k)
+    grid.flags.writeable = False
+    return grid
+
+
+def term_values(stack: ModelStack, t: Term, vs, memo):
+    """Values of t in every model of stack under every assignment of vs.
+
+    The result has shape (len(stack), size**len(vs)); assignments run in
+    row-major order over vs, which must cover var(t).  memo maps terms to
+    their values for this stack and vs, so shared subterms, and terms
+    evaluated before with the same memo, cost nothing.  Variables are kept
+    as (1, size**len(vs)) rows that broadcast against the models.
+    """
+    n, flat, offs = stack.size, stack.flat, stack.offs
+
+    def leaf(x):
+        j = vs.index(x.index)
+        return _assignments(n, len(vs))[j : j + 1]
+
+    def node(left, right):
+        return flat[left * n + right + offs]
+
+    return fold_term(t, leaf, node, memo)
+
+
+def _first_difference(stack: ModelStack, lhs: Term, rhs: Term):
+    """(model index, assignment) of the first place lhs and rhs differ, models
+    in stack order and assignments row-major, or None."""
+    vs = sorted(var_set(lhs) | var_set(rhs))
+    memo = {}
+    differ = (term_values(stack, lhs, vs, memo) != term_values(stack, rhs, vs, memo)).ravel()
+    first = int(differ.argmax())
+    if not differ[first]:
+        return None
+    model, column = divmod(first, stack.size ** len(vs))
+    grid = _assignments(stack.size, len(vs))
+    return model, {x: int(grid[j, column]) for j, x in enumerate(vs)}
 
 
 def satisfies(algebra: FiniteAlgebra, lhs: Term, rhs: Term) -> bool:
     """True iff lhs == rhs under every assignment into the carrier (exhaustive)."""
-    vs = sorted(var_set(lhs) | var_set(rhs))
-    carrier = range(algebra.size)
-    for values in itertools.product(carrier, repeat=len(vs)):
-        assignment = dict(zip(vs, values))
-        if eval_term(algebra, lhs, assignment) != eval_term(algebra, rhs, assignment):
-            return False
-    return True
-
-
-def distinguishing_assignment(algebra: FiniteAlgebra, lhs: Term, rhs: Term):
-    """An assignment where lhs and rhs evaluate differently, or None."""
-    vs = sorted(var_set(lhs) | var_set(rhs))
-    carrier = range(algebra.size)
-    for values in itertools.product(carrier, repeat=len(vs)):
-        assignment = dict(zip(vs, values))
-        if eval_term(algebra, lhs, assignment) != eval_term(algebra, rhs, assignment):
-            return assignment
-    return None
+    return _first_difference(algebra._stack, lhs, rhs) is None
 
 
 def distinguish_over_models(models, lhs: Term, rhs: Term):
     """First (model, assignment) among same-size models where lhs != rhs, or None.
 
-    Vectorized over models x assignments; the scan order matches looping over
-    the models in the given order with assignments in row-major order.
+    models is a ModelStack, or a list of algebras packed here.  The scan order
+    matches looping over the models in the given order with assignments in
+    row-major order.
     """
-    import numpy as np
-
-    if not models:
+    if not len(models):
         return None
-    n = models[0].size
-    tables = np.asarray([m.table for m in models])
-    vs = sorted(var_set(lhs) | var_set(rhs))
-    k = len(vs)
-    grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij") if k else []
-    cols = {x: g.reshape(-1) for x, g in zip(vs, grids)}
-    count, na = len(models), n**k
-    rows = np.arange(count)[:, None]
-    memo = {}
-
-    def leaf(x):
-        return np.broadcast_to(cols[x.index], (count, na))
-
-    def node(left, right):
-        return tables[rows, left, right]
-
-    diff = np.argwhere(fold_term(lhs, leaf, node, memo) != fold_term(rhs, leaf, node, memo))
-    if diff.size == 0:
+    if not isinstance(models, ModelStack):
+        models = ModelStack(models[0].size, [m.table for m in models])
+    found = _first_difference(models, lhs, rhs)
+    if found is None:
         return None
-    mi, ai = diff[0]
-    return models[mi], {x: int(cols[x][ai]) for x in vs}
+    model, assignment = found
+    return models.algebras[model], assignment
+
+
+def eval_vector(algebra: FiniteAlgebra, t: Term, vs, cache=None):
+    """Values of t over all assignments of vs (row-major), as a numpy vector.
+
+    vs must cover var(t).  cache, when given, memoizes per term within this
+    algebra/variable-list context.
+    """
+    return term_values(algebra._stack, t, vs, {} if cache is None else cache)[0]
 
 
 def enumerate_tables(axioms, size: int):
@@ -125,7 +177,8 @@ def enumerate_tables(axioms, size: int):
 
     axioms is a sequence of (lhs, rhs) term pairs.  Tables are yielded in
     row-major order over their flat encoding, so the stream is deterministic
-    regardless of how it is later partitioned.
+    regardless of how it is later partitioned.  This scans the tables one at
+    a time; it is the reference for the vectorised model search.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -134,57 +187,3 @@ def enumerate_tables(axioms, size: int):
         algebra = FiniteAlgebra.from_flat(size, flat)
         if all(satisfies(algebra, lhs, rhs) for lhs, rhs in axioms):
             yield algebra
-
-
-def _term_depends_on(algebra: FiniteAlgebra, t: Term, var_index: int) -> bool:
-    """True iff the induced term operation depends on x_var_index."""
-    vs = sorted(var_set(t))
-    if var_index not in vs:
-        return False
-    i = vs.index(var_index)
-    carrier = range(algebra.size)
-    for values in itertools.product(carrier, repeat=len(vs)):
-        assignment = dict(zip(vs, values))
-        base = eval_term(algebra, t, assignment)
-        for b in carrier:
-            if b == values[i]:
-                continue
-            assignment[var_index] = b
-            if eval_term(algebra, t, assignment) != base:
-                return True
-            assignment[var_index] = values[i]
-    return False
-
-
-def essential_vars_alg(t: Term, algebra: FiniteAlgebra):
-    """Ess(t, A): variables of t whose value can change the term operation."""
-    return {i for i in var_set(t) if _term_depends_on(algebra, t, i)}
-
-
-def eval_vector(algebra: FiniteAlgebra, t: Term, vs, cache=None):
-    """Values of t over all assignments of vs (row-major), as a tuple.
-
-    vs must cover var(t).  cache, when given, memoizes per (term) within
-    this algebra/variable-list context.
-    """
-    import numpy as np
-
-    n = algebra.size
-    k = len(vs)
-    pos = {x: i for i, x in enumerate(vs)}
-    grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij") if k else []
-    flat = [g.reshape(-1) for g in grids]
-    table = np.asarray(algebra.table)
-
-    def rec(u):
-        if cache is not None and u in cache:
-            return cache[u]
-        if isinstance(u, Var):
-            out = flat[pos[u.index]]
-        else:
-            out = table[rec(u.left), rec(u.right)]
-        if cache is not None:
-            cache[u] = out
-        return out
-
-    return rec(t)

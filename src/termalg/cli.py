@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .compose import sigma_compose, sigma_position_sets, star_compose
@@ -62,6 +63,7 @@ def _emit(args, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe shows here, inside run's handler
     return 0
 
 
@@ -343,6 +345,11 @@ def run(argv=None) -> int:
     except TermAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed early (``termalg ... | head``) and has all it wants;
+        # point stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def main():

@@ -14,11 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebras import (
-    FiniteAlgebra,
-    distinguish_over_models,
-    enumerate_tables,
-)
+from .algebras import FiniteAlgebra, ModelStack, distinguish_over_models, term_values
 from .errors import ModelSearchLimitError, NonOrientableError, ParseError
 from .terms import (
     Node,
@@ -226,20 +222,46 @@ def rule_size_decreasing(rule: Identity) -> bool:
 
 
 def rewrite_nf(t: Term, lhs: Term, rhs: Term, memo=None) -> Term:
-    """Innermost normal form of t under the single rule lhs -> rhs."""
+    """Innermost normal form of t under the single rule lhs -> rhs.
+
+    memo maps composite terms to their normal forms (a variable is its own).
+    An explicit stack replaces recursion, so deep terms are safe: a node
+    waits on it for its children, and a redex, as a (redex, contractum)
+    pair, for the normal form of its contractum.
+    """
     if memo is None:
         memo = {}
     got = memo.get(t)
-    if got is not None:
-        return got
-    if isinstance(t, Var):
-        memo[t] = t
-        return t
-    u = Node(rewrite_nf(t.left, lhs, rhs, memo), rewrite_nf(t.right, lhs, rhs, memo))
-    binding = match_pattern(lhs, u)
-    result = u if binding is None else rewrite_nf(apply_binding(rhs, binding), lhs, rhs, memo)
-    memo[t] = result
-    return result
+    if got is not None or isinstance(t, Var):
+        return t if got is None else got
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            redex, contractum = u
+            memo[redex] = memo[contractum]
+            continue
+        l, r = u.left, u.right
+        left = l if isinstance(l, Var) else memo.get(l)
+        right = r if isinstance(r, Var) else memo.get(r)
+        if left is None or right is None:
+            stack.append(u)
+            if right is None:
+                stack.append(r)
+            if left is None:
+                stack.append(l)
+        elif u not in memo:
+            nf = Node(left, right)
+            binding = match_pattern(lhs, nf)
+            if binding is None:
+                memo[u] = nf
+            else:
+                contractum = apply_binding(rhs, binding)
+                if isinstance(contractum, Var):
+                    memo[u] = contractum
+                else:
+                    stack += ((u, contractum), contractum)
+    return memo[t]
 
 
 def critical_pair_check(rule: Identity):
@@ -552,12 +574,13 @@ class Theory:
         """All models of the axioms with carrier size <= max_size (cached)."""
         if max_size is None:
             max_size = self.config.max_model_size
-        out = []
-        for size in range(1, max_size + 1):
-            if size not in self._models_by_size:
-                self._models_by_size[size] = _models_of_size(self.axiom_pairs(), size)
-            out.extend(self._models_by_size[size])
-        return out
+        return [m for size in range(1, max_size + 1) for m in self._model_stack(size).algebras]
+
+    def _model_stack(self, size: int) -> ModelStack:
+        stack = self._models_by_size.get(size)
+        if stack is None:
+            stack = self._models_by_size[size] = _models_vectorized(self.axiom_pairs(), size)
+        return stack
 
     def refute(self, t: Term, s: Term):
         """(model, assignment) distinguishing t and s, or None."""
@@ -566,9 +589,7 @@ class Theory:
             return got[0]
         found = None
         for size in range(2, self.config.max_model_size + 1):
-            if size not in self._models_by_size:
-                self._models_by_size[size] = _models_of_size(self.axiom_pairs(), size)
-            found = distinguish_over_models(self._models_by_size[size], t, s)
+            found = distinguish_over_models(self._model_stack(size), t, s)
             if found is not None:
                 break
         self._refute_cache[(t, s)] = (found,)
@@ -589,51 +610,34 @@ class Theory:
         return hash(self._ident())
 
 
-def _models_of_size(axiom_pairs, size):
-    if size <= 1:
-        return list(enumerate_tables(axiom_pairs, size))
-    return _models_vectorized(axiom_pairs, size)
-
-
 _MAX_SCANNED_TABLES = 4_000_000  # 3**9 tables fit; 4**16 never finishes
+# tables evaluated at once: bounds the memo of subterm values to a few MiB
+_TABLES_PER_SLICE = 3**7
 
 
-def _models_vectorized(axiom_pairs, size):
-    """All satisfying tables of one size, via numpy over every flat table."""
+def _models_vectorized(axiom_pairs, size) -> ModelStack:
+    """All satisfying tables of one size, in the order of their flat encoding:
+    every axiom is evaluated over stacks of all size**(size*size) tables."""
     import numpy as np
 
-    n = size
-    cells = n * n
-    count = n**cells
+    cells = size * size
+    count = size**cells
     if count > _MAX_SCANNED_TABLES:
         raise ModelSearchLimitError(
             f"model search at size {size} would scan {count} Cayley tables; "
             f"at most {_MAX_SCANNED_TABLES} are scanned (sizes up to 3)"
         )
-    digits = np.arange(count)
-    flat = np.empty((count, cells), dtype=np.int64)
-    for c in range(cells - 1, -1, -1):
-        flat[:, c] = digits % n
-        digits = digits // n
-    tables = flat.reshape(count, n, n)
-    rows = np.arange(count)
-    mask = np.ones(count, dtype=bool)
-    for lhs, rhs in axiom_pairs:
-        vs = sorted(var_set(lhs) | var_set(rhs))
-        k = len(vs)
-        grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
-        cols = {x: g.reshape(-1) for x, g in zip(vs, grids)}
-        na = n**k
-
-        def ev(u):
-            if isinstance(u, Var):
-                return np.broadcast_to(cols[u.index], (count, na))
-            return tables[rows[:, None], ev(u.left), ev(u.right)]
-
-        mask &= (ev(lhs) == ev(rhs)).all(axis=1)
-    return [
-        FiniteAlgebra.from_flat(size, flat[k].tolist()) for k in np.flatnonzero(mask)
-    ]
+    tables = np.indices((size,) * cells, dtype=np.intp).reshape(cells, count).T
+    axioms = [(lhs, rhs, sorted(var_set(lhs) | var_set(rhs))) for lhs, rhs in axiom_pairs]
+    keep = np.ones(count, dtype=bool)
+    for start in range(0, count, _TABLES_PER_SLICE):
+        part = slice(start, start + _TABLES_PER_SLICE)
+        stack = ModelStack(size, tables[part])
+        for lhs, rhs, vs in axioms:
+            memo = {}
+            lhs_values = term_values(stack, lhs, vs, memo)
+            keep[part] &= (lhs_values == term_values(stack, rhs, vs, memo)).all(axis=1)
+    return ModelStack(size, tables[keep])
 
 
 class IdempotentTheory(Theory):
@@ -751,52 +755,6 @@ class SemigroupAbsorptionTheory(Theory):
         return (1, x)
 
 
-class GroupoidSingleRuleTheory(Theory):
-    """A single size-decreasing rule.
-
-    Exact when the rewrite system is convergent (normal forms decide), or when
-    the rule provably collapses all composite terms into one class (the rule's
-    own bounded prover derives f(x1,x2) = f(x3,x4), e.g. f(f(x1,x2),x3) =
-    f(x2,x1)); otherwise falls back to the bounded three-valued oracle.
-    """
-
-    def __init__(self, rule: Identity, config=None):
-        self.rule = rule
-        self.name = f"grp-rule:{rule.text()}"
-        super().__init__(config)
-        self.convergent = False
-        self.node_collapse = False
-        self._fallback = AxiomsTheory((rule,), config)
-        if rule_size_decreasing(rule):
-            joinable, self._cp_report = critical_pair_check(rule)
-            self.convergent = joinable
-        else:
-            self._cp_report = []
-        if not self.convergent and isinstance(rule.lhs, Node) and isinstance(rule.rhs, Node):
-            self.node_collapse = _ground_collapse_proved(rule)
-        self.exact = self.convergent or self.node_collapse
-        self._nf_memo = {}
-
-    @property
-    def axioms(self):
-        return (self.rule,)
-
-    def normal_form(self, t: Term) -> Term:
-        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, self._nf_memo)
-
-    def canonical_key(self, t: Term):
-        if self.convergent:
-            return self.normal_form(t)
-        if self.node_collapse:
-            # any composite term is provably equal to any other; a rule with
-            # composite terms on both sides never merges a variable in
-            return ("node",) if isinstance(t, Node) else ("var", t.index)
-        return None
-
-    def _equal_bounded(self, t, s):
-        return self._fallback._equal_bounded(t, s)
-
-
 class AxiomsTheory(Theory):
     """Arbitrary finite axiom list with the bounded three-valued oracle."""
 
@@ -892,6 +850,45 @@ class AxiomsTheory(Theory):
         return None
 
 
+class GroupoidSingleRuleTheory(AxiomsTheory):
+    """A single size-decreasing rule.
+
+    Exact when the rewrite system is convergent (normal forms decide), or when
+    the rule provably collapses all composite terms into one class (the rule's
+    own bounded prover derives f(x1,x2) = f(x3,x4), e.g. f(f(x1,x2),x3) =
+    f(x2,x1)); otherwise falls back to the bounded three-valued oracle.
+    """
+
+    def __init__(self, rule: Identity, config=None):
+        self.rule = rule
+        super().__init__((rule,), config, name=f"grp-rule:{rule.text()}")
+        self.convergent = False
+        self.node_collapse = False
+        if rule_size_decreasing(rule):
+            joinable, self._cp_report = critical_pair_check(rule)
+            self.convergent = joinable
+        else:
+            self._cp_report = []
+        if not self.convergent and isinstance(rule.lhs, Node) and isinstance(rule.rhs, Node):
+            self.node_collapse = _ground_collapse_proved(rule)
+        self.exact = self.convergent or self.node_collapse
+        self._nf_memo = {}
+
+    def normal_form(self, t: Term) -> Term:
+        if not (self.convergent or rule_size_decreasing(self.rule)):
+            raise NonOrientableError(f"rewriting with {self.rule.text()} need not end")
+        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, self._nf_memo)
+
+    def canonical_key(self, t: Term):
+        if self.convergent:
+            return self.normal_form(t)
+        if self.node_collapse:
+            # any composite term is provably equal to any other; a rule with
+            # composite terms on both sides never merges a variable in
+            return ("node",) if isinstance(t, Node) else ("var", t.index)
+        return None
+
+
 def _plug(context, s: Term) -> Term:
     """The term whose subterm at the hole of context is s."""
     while context is not None:
@@ -977,8 +974,3 @@ def load_theory_file(path, config: OracleConfig | None = None) -> Theory:
     with open(path) as fh:
         return theory_from_json(json.load(fh), config)
 
-
-def load_algebra_file(path) -> FiniteAlgebra:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return FiniteAlgebra.from_flat(int(obj["size"]), obj["table"])

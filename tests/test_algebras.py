@@ -1,22 +1,34 @@
 """Finite algebras: evaluation, satisfaction, model enumeration."""
 
+import itertools
+import random
+
 import pytest
 
 from termalg.algebras import (
     FiniteAlgebra,
     distinguish_over_models,
-    distinguishing_assignment,
     enumerate_tables,
-    essential_vars_alg,
     eval_term,
     eval_vector,
     satisfies,
 )
 from termalg.errors import MissingAssignmentError
-from termalg.terms import parse_term, v
+from termalg.terms import enumerate_terms_by_length, parse_term, v, var_set
+from termalg.theories import AxiomsTheory, Identity, _models_vectorized, theory_from_name
 
 LEFT_ZERO = FiniteAlgebra.from_rows([[0, 0], [1, 1]])  # f(a,b) = a
 XOR = FiniteAlgebra.from_rows([[0, 1], [1, 0]])
+
+
+def scan_for_difference(algebra, lhs, rhs):
+    """The first assignment, row-major, where lhs and rhs differ, or None."""
+    vs = sorted(var_set(lhs) | var_set(rhs))
+    for values in itertools.product(range(algebra.size), repeat=len(vs)):
+        assignment = dict(zip(vs, values))
+        if eval_term(algebra, lhs, assignment) != eval_term(algebra, rhs, assignment):
+            return assignment
+    return None
 
 
 class TestEvaluation:
@@ -34,12 +46,16 @@ class TestEvaluation:
         with pytest.raises(MissingAssignmentError):
             eval_term(XOR, parse_term("f(x1,x2)"), {1: 0})
 
+    def test_deep_chain(self):
+        depth = 3000
+        chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+        # XOR adds x2 to x1 depth times
+        assert eval_term(XOR, chain, {1: 1, 2: 1}) == (1 + depth) % 2
+
     def test_eval_vector_matches_pointwise(self):
         t = parse_term("f(f(x1,x2),f(x2,x3))")
         vs = [1, 2, 3]
         vec = eval_vector(XOR, t, vs)
-        import itertools
-
         for k, values in enumerate(itertools.product(range(2), repeat=3)):
             assert vec[k] == eval_term(XOR, t, dict(zip(vs, values)))
 
@@ -52,7 +68,7 @@ class TestSatisfaction:
         assert not satisfies(LEFT_ZERO, parse_term("f(x1,x2)"), parse_term("f(x2,x1)"))
 
     def test_distinguishing_assignment(self):
-        got = distinguishing_assignment(LEFT_ZERO, parse_term("f(x1,x2)"), parse_term("f(x2,x1)"))
+        got = scan_for_difference(LEFT_ZERO, parse_term("f(x1,x2)"), parse_term("f(x2,x1)"))
         assert got is not None
         lhs = eval_term(LEFT_ZERO, parse_term("f(x1,x2)"), got)
         rhs = eval_term(LEFT_ZERO, parse_term("f(x2,x1)"), got)
@@ -64,7 +80,7 @@ class TestSatisfaction:
         batched = distinguish_over_models(models, lhs, rhs)
         # the first model with any distinguishing assignment, scanned in order
         for m in models:
-            single = distinguishing_assignment(m, lhs, rhs)
+            single = scan_for_difference(m, lhs, rhs)
             if single is not None:
                 assert batched[0] == m
                 a = batched[1]
@@ -93,9 +109,68 @@ class TestEnumeration:
             FiniteAlgebra.from_flat(2, [0, 1, 1])
 
 
-class TestEssentialVars:
-    def test_left_zero_second_arg_fictive(self):
-        assert essential_vars_alg(parse_term("f(x1,x2)"), LEFT_ZERO) == {1}
+AXIOMS = tuple(
+    Identity.parse(text)
+    for text in (
+        "f(f(x1,x2),x3)=f(x1,f(x2,x3))",
+        "f(x1,x1)=x1",
+        "f(x1,x2)=f(x2,x1)",
+        "f(f(x1,x1),x2)=f(x2,x2)",
+        "f(f(x1,x2),x3)=f(x2,x3)",
+    )
+)
 
-    def test_xor_both_essential(self):
-        assert essential_vars_alg(parse_term("f(x1,x2)"), XOR) == {1, 2}
+
+def build_theory(spec):
+    if spec.startswith("axioms:"):
+        return AxiomsTheory((Identity.parse(spec[len("axioms:") :]),))
+    return theory_from_name(spec)
+
+
+class TestModelEngine:
+    """The vectorised evaluator against scalar scans with ``eval_term``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["assoc", "grp-rule:f(f(x1,x2),x3)=f(x2,x3)", "commutative", "axioms:f(f(x1,x1),x2)=f(x2,x2)"],
+    )
+    def test_refute_finds_the_first_model_and_assignment_of_a_scan(self, spec):
+        thy = build_theory(spec)
+        by_size = {n: [m for m in thy.models() if m.size == n] for n in (2, 3)}
+        terms = list(enumerate_terms_by_length(5, 4))
+        rng = random.Random(spec)
+        refuted = 0
+        for _ in range(200):
+            t, s = rng.choice(terms), rng.choice(terms)
+            expected = None
+            for n in (2, 3):
+                for m in by_size[n]:
+                    a = scan_for_difference(m, t, s)
+                    if a is not None:
+                        expected = (m, a)
+                        break
+                if expected is not None:
+                    break
+            assert thy.refute(t, s) == expected, (t, s)
+            refuted += expected is not None
+        assert refuted > 0
+
+    def test_vectorised_model_search_matches_the_table_scan(self):
+        for axiom in AXIOMS:
+            pairs = ((axiom.lhs, axiom.rhs),)
+            assert _models_vectorized(pairs, 2).algebras == list(enumerate_tables(pairs, 2))
+
+    def test_satisfies_matches_a_scalar_scan_at_size_3(self):
+        rng = random.Random(3)
+        algebras = [
+            FiniteAlgebra.from_flat(3, [rng.randrange(3) for _ in range(9)]) for _ in range(40)
+        ]
+        algebras += build_theory("assoc").models(3)[-20:]
+        algebras += build_theory("commutative").models(3)[-20:]
+        outcomes = set()
+        for algebra in algebras:
+            for axiom in AXIOMS:
+                got = satisfies(algebra, axiom.lhs, axiom.rhs)
+                assert got == (scan_for_difference(algebra, axiom.lhs, axiom.rhs) is None)
+                outcomes.add(got)
+        assert outcomes == {True, False}

@@ -1,9 +1,13 @@
 """CLI: exit codes, text output, and JSON schema stability."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import termalg
 from termalg.cli import emit_dot, run
 from termalg.terms import parse_term, positions
 
@@ -56,13 +60,31 @@ class TestExitCodes:
         assert code == 0, err
         assert out.count("->") == 2 * depth
 
-    @pytest.mark.parametrize("theory", ["commutative", "idempotent", "assoc"])
+    @pytest.mark.parametrize(
+        "theory", ["commutative", "idempotent", "assoc", "grp-rule:f(f(x1,x2),x3)=f(x1,x3)"]
+    )
     def test_equiv_of_a_deep_chain(self, capsys, theory):
         depth = 1500
         chain = "f(" * depth + "x1" + ",x2)" * depth
         code, out, err = invoke(capsys, "equiv", "--theory", theory, chain, "x1")
         assert code == 0, err
         assert out.startswith("Refuted")
+
+    def test_reader_closing_the_pipe_early_ends_quietly(self):
+        depth = 3000  # the dot text is larger than a pipe buffer
+        chain = "f(" * depth + "x1" + ",x2)" * depth
+        src = os.path.dirname(os.path.dirname(termalg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        writer = subprocess.Popen(
+            [sys.executable, "-m", "termalg", "dot", chain],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert writer.stdout.read(20).startswith(b"digraph")
+        writer.stdout.close()
+        _, err = writer.communicate(timeout=60)
+        assert (writer.returncode, err) == (0, b"")
 
     def test_model_search_beyond_size_3_is_a_domain_error(self, capsys):
         # no model of size <= 3 separates this pair (ROADMAP item 4)

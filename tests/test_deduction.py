@@ -1,10 +1,11 @@
 """Derivation rules, bounded closure, and the stability sweep checkers."""
 
 import dataclasses
+import itertools
 
 import pytest
 
-from termalg.algebras import FiniteAlgebra, distinguishing_assignment, satisfies
+from termalg.algebras import FiniteAlgebra, eval_term, satisfies
 from termalg.deduction import (
     ClosureBounds,
     RULE_TAGS,
@@ -17,7 +18,7 @@ from termalg.deduction import (
     validate_report,
 )
 from termalg.errors import SideConditionError
-from termalg.terms import parse_term, v
+from termalg.terms import parse_term, v, var_set
 from termalg.theories import CounterModel, Identity, theory_from_name
 
 from conftest import shared_theory
@@ -193,8 +194,13 @@ class TestSweeps:
         bad = FiniteAlgebra.from_rows([[0, 0], [0, 1]])
         assert not satisfies(bad, thy.rule.lhs, thy.rule.rhs)
         v0 = report.violations[0]
-        assignment = distinguishing_assignment(bad, v0.left, v0.right)
-        assert assignment is not None  # it separates, so only the axioms can reject it
+        vs = sorted(var_set(v0.left) | var_set(v0.right))
+        for values in itertools.product(range(bad.size), repeat=len(vs)):
+            assignment = dict(zip(vs, values))
+            if eval_term(bad, v0.left, assignment) != eval_term(bad, v0.right, assignment):
+                break  # it separates, so only the axioms can reject it
+        else:
+            pytest.fail("the table does not separate the violation's two sides")
         report.violations[0] = dataclasses.replace(
             v0, certificate=CounterModel(bad, tuple(sorted(assignment.items())))
         )

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from termalg.algebras import eval_term, satisfies
-from termalg.errors import ModelSearchLimitError, ParseError
-from termalg.terms import enumerate_terms, parse_term, random_term, v
+from termalg.errors import ModelSearchLimitError, NonOrientableError, ParseError
+from termalg.terms import Node, Var, enumerate_terms, parse_term, random_term, v
 from termalg.theories import (
     AxiomsTheory,
     CounterModel,
@@ -20,6 +20,9 @@ from termalg.theories import (
     OracleConfig,
     _sorts_before,
     _two_letter_patterns,
+    apply_binding,
+    match_pattern,
+    rewrite_nf,
     term_sort_key,
     theory_from_json,
     theory_from_name,
@@ -120,6 +123,42 @@ class TestExactDeciders:
         assert idempotent.normal_form(chain) is chain
         flipped = parse_term("f(x2," * (depth - 1) + "f(x1,x2)" + ")" * (depth - 1))
         assert commutative.normal_form(chain) is flipped
+
+    def test_single_rule_normal_form_matches_the_recursive_reference(self):
+        def reference(t, lhs, rhs):
+            if isinstance(t, Var):
+                return t
+            u = Node(reference(t.left, lhs, rhs), reference(t.right, lhs, rhs))
+            binding = match_pattern(lhs, u)
+            return u if binding is None else reference(apply_binding(rhs, binding), lhs, rhs)
+
+        rng = random.Random(11)
+        terms = [random_term(rng, 6, 4) for _ in range(300)]
+        for text in (
+            "f(f(x1,x2),x3)=f(x1,x3)",
+            "f(f(x1,x2),x3)=f(x2,x3)",
+            "f(x1,f(x2,x3))=f(x1,x2)",
+            "f(f(x1,x1),x2)=x2",
+        ):
+            rule = Identity.parse(text)
+            memo = {}
+            for t in terms:
+                assert rewrite_nf(t, rule.lhs, rule.rhs, memo) is reference(t, rule.lhs, rule.rhs)
+
+    def test_single_rule_normal_form_of_deep_terms(self):
+        depth = 3000
+        rule = Identity.parse("f(f(x1,x2),x3)=f(x2,x3)")
+        # a normal form whose every contractum is a redex again, 3000 times
+        comb = parse_term("f(x1," * depth + "x2" + ")" * depth)
+        assert rewrite_nf(comb, rule.lhs, rule.rhs) is comb
+        assert rewrite_nf(Node(comb, Var(3)), rule.lhs, rule.rhs) is parse_term("f(x2,x3)")
+        chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+        assert rewrite_nf(chain, rule.lhs, rule.rhs) is parse_term("f(x2,x2)")
+
+    def test_single_rule_normal_form_refuses_a_rule_that_need_not_end(self):
+        thy = theory_from_name("grp-rule:f(x1,x2)=f(x2,x1)")
+        with pytest.raises(NonOrientableError):
+            thy.normal_form(parse_term("f(x1,x2)"))
 
     def test_equivalence_relation_sample(self, idempotent):
         terms = list(enumerate_terms(2, 2))
