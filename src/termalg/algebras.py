@@ -145,31 +145,19 @@ def satisfies(algebra: FiniteAlgebra, lhs: Term, rhs: Term) -> bool:
     return _first_difference(algebra._stack, lhs, rhs) is None
 
 
-def distinguish_over_models(models, lhs: Term, rhs: Term):
-    """First (model, assignment) among same-size models where lhs != rhs, or None.
+def distinguish_over_models(models: ModelStack, lhs: Term, rhs: Term):
+    """First (model, assignment) in the stack where lhs != rhs, or None.
 
-    models is a ModelStack, or a list of algebras packed here.  The scan order
-    matches looping over the models in the given order with assignments in
-    row-major order.
+    The scan order matches looping over the models in stack order with
+    assignments in row-major order.
     """
     if not len(models):
         return None
-    if not isinstance(models, ModelStack):
-        models = ModelStack(models[0].size, [m.table for m in models])
     found = _first_difference(models, lhs, rhs)
     if found is None:
         return None
     model, assignment = found
     return models.algebras[model], assignment
-
-
-def eval_vector(algebra: FiniteAlgebra, t: Term, vs, cache=None):
-    """Values of t over all assignments of vs (row-major), as a numpy vector.
-
-    vs must cover var(t).  cache, when given, memoizes per term within this
-    algebra/variable-list context.
-    """
-    return term_values(algebra._stack, t, vs, {} if cache is None else cache)[0]
 
 
 def enumerate_tables(axioms, size: int):

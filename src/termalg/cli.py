@@ -47,13 +47,11 @@ def _positions_json(ps):
 
 
 def _theory_of(args):
-    config = None
-    if getattr(args, "max_model_size", None):
-        config = OracleConfig(max_model_size=args.max_model_size)
+    size = getattr(args, "max_model_size", None)
     if getattr(args, "theory_file", None):
-        return load_theory_file(args.theory_file, config)
+        return load_theory_file(args.theory_file, size)
     if getattr(args, "theory", None):
-        return theory_from_name(args.theory, config)
+        return theory_from_name(args.theory, OracleConfig(max_model_size=size) if size else None)
     raise TermAlgError("a theory is required: pass --theory or --theory-file")
 
 

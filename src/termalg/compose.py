@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncomparablePositionsError, NestedPatternsError, UndecidedError
-from .essentiality import essentiality_report
+from .errors import IncomparablePositionsError, NestedPatternsError
+from .essentiality import decided_report
 from .terms import (
     Node,
-    Position,
     Term,
     Var,
-    is_valid_position,
     position_to_text,
     positions,
     prefix_leq,
@@ -118,30 +116,14 @@ def _prefix_minimal(ps) -> frozenset:
 
 def sigma_match_positions(t: Term, r: Term, theory: Theory) -> frozenset:
     """All positions of subterms of t the theory proves equal to r."""
-    matches = set()
-    for p in positions(t):
-        verdict = theory.equal(subterm_at(t, p), r)
-        if verdict is None:
-            raise UndecidedError(
-                f"equivalence of subterm at {position_to_text(p)} and {r} undecided",
-                query=(subterm_at(t, p), r),
-            )
-        if verdict:
-            matches.add(p)
-    return frozenset(matches)
+    return frozenset(p for p in positions(t) if theory.holds(subterm_at(t, p), r))
 
 
 def sigma_position_sets(t: Term, r: Term, theory: Theory) -> SigmaPositionSets:
     pos = positions(t)
     matches = sigma_match_positions(t, r, theory)
 
-    report = essentiality_report(t, theory)
-    if report.undecided_positions:
-        raise UndecidedError(
-            f"essentiality undecided at {sorted(report.undecided_positions)} of {t}",
-            query=(t, sorted(report.undecided_positions)),
-        )
-    essential = report.essential_positions
+    essential = decided_report(t, theory).essential_positions
     minimal = _prefix_minimal(matches)
     essential_minimal = frozenset(
         p for p in minimal if all(q in essential for q in pos if prefix_leq(p, q))
@@ -167,12 +149,7 @@ def star_compose(t: Term, r: Term, s: Term, theory: Theory) -> Term:
     order would let a replacement rewrite one side of a proved identity while
     fixing the other, breaking soundness of star replacement.
     """
-    whole = theory.equal(t, r)
-    if whole is None:
-        raise UndecidedError(
-            f"equivalence of {t} and the pattern {r} undecided", query=(t, r)
-        )
-    if whole:
+    if theory.holds(t, r):
         return s
     sets = sigma_position_sets(t, r, theory)
     if not sets.essential_minimal:

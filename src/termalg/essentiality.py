@@ -43,25 +43,16 @@ class EssentialityReport:
         return not self.undecided_vars and not self.undecided_positions
 
 
-def _theory_cache(theory: Theory, name: str) -> dict:
-    """The dict a module keeps on a theory under the attribute name."""
-    cache = getattr(theory, name, None)
-    if cache is None:
-        cache = {}
-        setattr(theory, name, cache)
-    return cache
-
-
 def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
     """Classify every variable and position of t as essential/fictive/undecided.
 
     Reports are computed once per variable-renaming class (keyed by
     ``rename_canonical``) and renamed once per term.
     """
-    by_term = _theory_cache(theory, "_essentiality_by_term")
+    by_term = theory._essentiality_by_term
     report = by_term.get(t)
     if report is None:
-        computed = _theory_cache(theory, "_essentiality_cache")
+        computed = theory._essentiality_cache
         canon = rename_canonical(t)
         report = computed.get(canon)
         if report is None:
@@ -129,47 +120,33 @@ def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
     )
 
 
-def essential_positions(t: Term, theory: Theory) -> frozenset:
+def decided_report(t: Term, theory: Theory) -> EssentialityReport:
+    """essentiality_report(t, theory) for a caller that needs every position
+    classified; raises UndecidedError otherwise."""
     report = essentiality_report(t, theory)
     if report.undecided_positions:
+        undecided = sorted(report.undecided_positions)
         raise UndecidedError(
-            "essentiality undecided at positions "
-            f"{sorted(report.undecided_positions)} of {t}",
-            query=(t, sorted(report.undecided_positions)),
+            f"essentiality undecided at positions {undecided} of {t}", query=(t, undecided)
         )
-    return report.essential_positions
+    return report
+
+
+def essential_positions(t: Term, theory: Theory) -> frozenset:
+    return decided_report(t, theory).essential_positions
 
 
 def essential_subterms(t: Term, theory: Theory) -> set:
     """SEss(t): subterms of t at some essential position, closed under
     theory-equivalence among the subterms of t."""
     at_essential = {subterm_at(t, p) for p in essential_positions(t, theory)}
-    out = set()
-    for u in subterm_set(t):
-        if u in at_essential:
-            out.add(u)
-            continue
-        for w in at_essential:
-            verdict = theory.equal(u, w)
-            if verdict is None:
-                raise UndecidedError(
-                    f"equivalence of subterm {u} and {w} undecided", query=(u, w)
-                )
-            if verdict:
-                out.add(u)
-                break
-    return out
+    return {
+        u
+        for u in subterm_set(t)
+        if u in at_essential or any(theory.holds(u, w) for w in at_essential)
+    }
 
 
 def is_essential_subterm(r: Term, t: Term, theory: Theory) -> bool:
     """Whether r is theory-equivalent to some subterm at an essential position."""
-    for p in essential_positions(t, theory):
-        verdict = theory.equal(r, subterm_at(t, p))
-        if verdict is None:
-            raise UndecidedError(
-                f"equivalence of {r} and subterm at {p} undecided",
-                query=(r, subterm_at(t, p)),
-            )
-        if verdict:
-            return True
-    return False
+    return any(theory.holds(r, subterm_at(t, p)) for p in essential_positions(t, theory))

@@ -18,14 +18,13 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .errors import NotReducibleError, NotRemovableError, UndecidedError
-from .essentiality import _theory_cache, essentiality_report
+from .errors import NotReducibleError, NotRemovableError
+from .essentiality import decided_report
 from .terms import (
     Position,
     Term,
     position_to_text,
     positions,
-    prefix_leq,
     proper_prefix,
     replace_at,
     subterm_at,
@@ -83,7 +82,7 @@ class ReductionTrace:
 def reducible_pairs(t: Term, theory: Theory) -> frozenset:
     """Rd(t): all reducible pairs, outermost heads with maximal tails, plus
     the nested pairs obtained by composing through a pair's tail subterm."""
-    cache = _theory_cache(theory, "_rd_cache")
+    cache = theory._rd_cache
     got = cache.get(t)
     if got is not None:
         return got
@@ -98,14 +97,7 @@ def reducible_pairs(t: Term, theory: Theory) -> frozenset:
     else:
 
         def eq(a, b):
-            verdict = theory.equal(subterm_at(t, a), subterm_at(t, b))
-            if verdict is None:
-                raise UndecidedError(
-                    f"equivalence of subterms at {position_to_text(a)} and "
-                    f"{position_to_text(b)} undecided",
-                    query=(subterm_at(t, a), subterm_at(t, b)),
-                )
-            return verdict
+            return theory.holds(subterm_at(t, a), subterm_at(t, b))
 
     heads = set()
     for p in pos:
@@ -140,18 +132,12 @@ def reducible_pairs(t: Term, theory: Theory) -> frozenset:
 def removable_positions(t: Term, theory: Theory) -> frozenset:
     """Rm(t): minimal fictive positions, plus positions reachable through the
     sibling branch of a removable position."""
-    cache = _theory_cache(theory, "_rm_cache")
+    cache = theory._rm_cache
     got = cache.get(t)
     if got is not None:
         return got
 
-    report = essentiality_report(t, theory)
-    if report.undecided_positions:
-        raise UndecidedError(
-            f"essentiality undecided at {sorted(report.undecided_positions)} of {t}",
-            query=(t, sorted(report.undecided_positions)),
-        )
-    fictive = report.fictive_positions
+    fictive = decided_report(t, theory).fictive_positions
     removable = {
         p
         for p in fictive
@@ -203,13 +189,7 @@ def step_E(t: Term, removable: Position, theory: Theory | None = None) -> Term:
 
 
 def _minimal_fictive(t: Term, theory: Theory):
-    report = essentiality_report(t, theory)
-    if report.undecided_positions:
-        raise UndecidedError(
-            f"essentiality undecided at {sorted(report.undecided_positions)} of {t}",
-            query=(t, sorted(report.undecided_positions)),
-        )
-    fictive = [p for p in report.fictive_positions if p]
+    fictive = [p for p in decided_report(t, theory).fictive_positions if p]
     return min(fictive) if fictive else None
 
 

@@ -229,18 +229,6 @@ def proper_prefix(p: Position, q: Position) -> bool:
     return len(p) < len(q) and q[: len(p)] == p
 
 
-def lex_compare(p: Position, q: Position) -> int:
-    """Padded-lexicographic comparison: -1, 0 or 1.
-
-    The shorter position is conceptually right-padded with 0 before the
-    digitwise comparison, so a proper prefix compares below its extensions.
-    Over digits {1, 2} this is exactly Python tuple comparison.
-    """
-    if p == q:
-        return 0
-    return -1 if p < q else 1
-
-
 # ---------------------------------------------------------------------------
 # valuations and variables
 
@@ -266,14 +254,6 @@ def variables(t: Term):
         got = tuple(out)
         _set(t, "_vars", got)
     return got
-
-
-def kth_variable(t: Term, k: int) -> int:
-    """The index of the k-th variable of t in left-to-right leaf order (1-based)."""
-    seq = variables(t)
-    if not 1 <= k <= len(seq):
-        raise IndexError(f"k={k} out of range for a term of length {len(seq)}")
-    return seq[k - 1]
 
 
 def var_set(t: Term):

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import FiniteAlgebra, ModelStack, distinguish_over_models, term_values
-from .errors import ModelSearchLimitError, NonOrientableError, ParseError
+from .errors import ModelSearchLimitError, NonOrientableError, ParseError, UndecidedError
 from .terms import (
     Node,
     Term,
@@ -264,12 +264,8 @@ def rewrite_nf(t: Term, lhs: Term, rhs: Term, memo=None) -> Term:
     return memo[t]
 
 
-def critical_pair_check(rule: Identity):
-    """Check joinability of all self-overlaps of an oriented rule.
-
-    Returns (joinable, report) where report lists each overlap position with
-    the two derivatives and their normal forms.
-    """
+def critical_pair_check(rule: Identity) -> bool:
+    """Whether every self-overlap of an oriented rule joins."""
     if not rule_orientable(rule):
         raise NonOrientableError(
             f"rule {rule.text()} is not orientable (need Siz(lhs) > Siz(rhs) "
@@ -278,8 +274,6 @@ def critical_pair_check(rule: Identity):
     lhs, rhs = rule.lhs, rule.rhs
     offset = max_var_index(lhs, rhs)
     lhs2, rhs2 = shift_vars(lhs, offset), shift_vars(rhs, offset)
-    report = []
-    all_join = True
     memo = {}
     for p in positions(lhs):
         if p == ():
@@ -293,20 +287,9 @@ def critical_pair_check(rule: Identity):
         peak = resolve(lhs, mgu)
         inner = replace_at(peak, p, resolve(rhs2, mgu))
         outer = resolve(rhs, mgu)
-        nf_inner = rewrite_nf(inner, lhs, rhs, memo)
-        nf_outer = rewrite_nf(outer, lhs, rhs, memo)
-        joins = nf_inner == nf_outer
-        all_join = all_join and joins
-        report.append(
-            {
-                "overlap": p,
-                "peak": term_to_text(peak),
-                "derivatives": (term_to_text(inner), term_to_text(outer)),
-                "normal_forms": (term_to_text(nf_inner), term_to_text(nf_outer)),
-                "joins": joins,
-            }
-        )
-    return all_join, report
+        if rewrite_nf(inner, lhs, rhs, memo) != rewrite_nf(outer, lhs, rhs, memo):
+            return False
+    return True
 
 
 # --- word machinery for semigroup + absorption theories ----------------------
@@ -487,10 +470,16 @@ class Theory:
 
     def __init__(self, config: OracleConfig | None = None):
         self.config = config or OracleConfig()
-        self._equal_cache = {}
-        self._key_cache = {}
-        self._models_by_size = {}
-        self._refute_cache = {}
+        # every memo kept for this theory, by this class and by the modules
+        # built on it (essentiality, reduction); none attaches its own
+        self._key_cache = {}  # term -> canonical key; the normal form's memo
+        self._equal_cache = {}  # (t, s) -> (bounded answer, proof path)
+        self._refute_cache = {}  # (t, s) -> (counter-model or None,)
+        self._models_by_size = {}  # size -> ModelStack of all models
+        self._essentiality_cache = {}  # rename_canonical(t) -> its report
+        self._essentiality_by_term = {}  # t -> its report
+        self._rd_cache = {}  # t -> reduction.reducible_pairs(t)
+        self._rm_cache = {}  # t -> reduction.removable_positions(t)
 
     @property
     def axioms(self):
@@ -517,6 +506,14 @@ class Theory:
         answer, _payload = self._equal_bounded(t, s)
         self._equal_cache[(t, s)] = (answer, _payload)
         self._equal_cache[(s, t)] = (answer, _payload)
+        return answer
+
+    def holds(self, t: Term, s: Term) -> bool:
+        """equal(t, s) for a caller that needs an answer: raises
+        UndecidedError, naming both terms, when the oracle has none."""
+        answer = self.equal(t, s)
+        if answer is None:
+            raise UndecidedError(f"equivalence of {t} and {s} undecided", query=(t, s))
         return answer
 
     def _cached_key(self, t: Term):
@@ -646,16 +643,12 @@ class IdempotentTheory(Theory):
     name = "idempotent"
     exact = True
 
-    def __init__(self, config=None):
-        super().__init__(config)
-        self._nf_memo = {}
-
     @property
     def axioms(self):
         return (IDEMPOTENT_AXIOM,)
 
     def normal_form(self, t: Term) -> Term:
-        return fold_term(t, _leaf_itself, _collapse_pair, self._nf_memo)
+        return fold_term(t, _leaf_itself, _collapse_pair, self._key_cache)
 
     def canonical_key(self, t: Term):
         return self.normal_form(t)
@@ -694,16 +687,12 @@ class CommutativeTheory(Theory):
     name = "commutative"
     exact = True
 
-    def __init__(self, config=None):
-        super().__init__(config)
-        self._nf_memo = {}
-
     @property
     def axioms(self):
         return (COMMUTATIVE_AXIOM,)
 
     def normal_form(self, t: Term) -> Term:
-        return fold_term(t, _leaf_itself, _sorted_pair, self._nf_memo)
+        return fold_term(t, _leaf_itself, _sorted_pair, self._key_cache)
 
     def canonical_key(self, t: Term):
         return self.normal_form(t)
@@ -862,22 +851,21 @@ class GroupoidSingleRuleTheory(AxiomsTheory):
     def __init__(self, rule: Identity, config=None):
         self.rule = rule
         super().__init__((rule,), config, name=f"grp-rule:{rule.text()}")
-        self.convergent = False
-        self.node_collapse = False
-        if rule_size_decreasing(rule):
-            joinable, self._cp_report = critical_pair_check(rule)
-            self.convergent = joinable
-        else:
-            self._cp_report = []
-        if not self.convergent and isinstance(rule.lhs, Node) and isinstance(rule.rhs, Node):
-            self.node_collapse = _ground_collapse_proved(rule)
+        self.convergent = rule_size_decreasing(rule) and critical_pair_check(rule)
+        self.node_collapse = (
+            not self.convergent
+            and isinstance(rule.lhs, Node)
+            and isinstance(rule.rhs, Node)
+            and _ground_collapse_proved(rule)
+        )
         self.exact = self.convergent or self.node_collapse
-        self._nf_memo = {}
 
     def normal_form(self, t: Term) -> Term:
         if not (self.convergent or rule_size_decreasing(self.rule)):
             raise NonOrientableError(f"rewriting with {self.rule.text()} need not end")
-        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, self._nf_memo)
+        # a convergent rule's normal form is its key, so it shares the key memo
+        memo = self._key_cache if self.convergent else {}
+        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, memo)
 
     def canonical_key(self, t: Term):
         if self.convergent:
@@ -935,21 +923,26 @@ def theory_from_name(name: str, config: OracleConfig | None = None) -> Theory:
     raise ParseError(f"unknown theory name {name!r}")
 
 
-def _config_from_json(obj):
-    if not obj:
-        return None
-    return OracleConfig(
-        max_model_size=obj.get("maxModelSize", 3),
-        max_deduction_term_size=obj.get("maxDeductionTermSize", 12),
-        max_deduction_steps=obj.get("maxDeductionSteps", 100_000),
-    )
+_ORACLE_FIELDS = {
+    "maxModelSize": "max_model_size",
+    "maxDeductionTermSize": "max_deduction_term_size",
+    "maxDeductionSteps": "max_deduction_steps",
+}
 
 
-def theory_from_json(obj, config: OracleConfig | None = None) -> Theory:
-    """Theory from the JSON file schema: {"kind": ..., ...}."""
+def theory_from_json(obj, max_model_size: int | None = None) -> Theory:
+    """Theory from the JSON file schema: {"kind": ..., ...}.
+
+    The optional "oracle" block sets bounds over OracleConfig's defaults;
+    max_model_size, when given, overrides that one bound.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    config = config or _config_from_json(obj.get("oracle"))
+    oracle = obj.get("oracle") or {}
+    bounds = {name: oracle[key] for key, name in _ORACLE_FIELDS.items() if key in oracle}
+    if max_model_size:
+        bounds["max_model_size"] = max_model_size
+    config = OracleConfig(**bounds)
     kind = obj.get("kind")
     if kind == "idempotent":
         return IdempotentTheory(config)
@@ -970,7 +963,7 @@ def theory_from_json(obj, config: OracleConfig | None = None) -> Theory:
     raise ParseError(f"unknown theory kind {kind!r}")
 
 
-def load_theory_file(path, config: OracleConfig | None = None) -> Theory:
+def load_theory_file(path, max_model_size: int | None = None) -> Theory:
     with open(path) as fh:
-        return theory_from_json(json.load(fh), config)
+        return theory_from_json(json.load(fh), max_model_size)
 

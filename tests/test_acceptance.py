@@ -13,8 +13,9 @@ pass.
 import itertools
 import random
 
+import numpy as np
 from conftest import shared_theory
-from termalg.algebras import FiniteAlgebra, eval_term, eval_vector, satisfies
+from termalg.algebras import FiniteAlgebra, eval_term, satisfies, term_values
 from termalg.compose import sigma_compose, sigma_position_sets, star_compose
 from termalg.deduction import SweepBounds, check_stability, validate_report
 from termalg.essentiality import essentiality_report
@@ -623,12 +624,16 @@ def test_criterion_11_exact_deciders_agree_with_model_checking():
     for name in EXACT_DECIDER_NAMES:
         thy = shared_theory(name)
         assert thy.exact, f"{name} is expected to ship an exact decider"
-        models = thy.models(3)
-        caches = [dict() for _ in models]
+        stacks = [thy._model_stack(n) for n in (1, 2, 3)]
+        memos = [{} for _ in stacks]
+        # values in every model of size <= 3 under every assignment; a bare
+        # variable comes back as one row, so broadcast it to every model
         signature = {
             t: tuple(
-                tuple(eval_vector(m, t, vs, c).tolist())
-                for m, c in zip(models, caches)
+                np.broadcast_to(
+                    term_values(stack, t, vs, memo), (len(stack), stack.size ** len(vs))
+                ).tobytes()
+                for stack, memo in zip(stacks, memos)
             )
             for t in terms
         }
@@ -644,6 +649,7 @@ def test_criterion_11_exact_deciders_agree_with_model_checking():
         reps = sorted(
             (min(ms, key=term_sort_key) for ms in classes.values()), key=term_sort_key
         )
+        is_model = {}  # attached algebra -> whether it satisfies the axioms
         for a, b in itertools.combinations(reps, 2):
             verdict = thy.decide(a, b)
             if verdict.outcome != REFUTED:
@@ -651,13 +657,16 @@ def test_criterion_11_exact_deciders_agree_with_model_checking():
                 continue
             cert = verdict.certificate
             if isinstance(cert, CounterModel):
-                lhs_vals = tuple(eval_vector(cert.algebra, a, vs).tolist())
-                rhs_vals = tuple(eval_vector(cert.algebra, b, vs).tolist())
-                if lhs_vals == rhs_vals:
+                at = dict(cert.assignment)
+                if eval_term(cert.algebra, a, at) == eval_term(cert.algebra, b, at):
                     disagreements.append(
                         f"{name}: attached counter-model fails to separate {a} and {b}"
                     )
-                if not all(satisfies(cert.algebra, ax.lhs, ax.rhs) for ax in thy.axioms):
+                if cert.algebra not in is_model:
+                    is_model[cert.algebra] = all(
+                        satisfies(cert.algebra, ax.lhs, ax.rhs) for ax in thy.axioms
+                    )
+                if not is_model[cert.algebra]:
                     disagreements.append(
                         f"{name}: attached counter-model violates the axioms"
                     )

@@ -7,11 +7,12 @@ import pytest
 
 from termalg.algebras import (
     FiniteAlgebra,
+    ModelStack,
     distinguish_over_models,
     enumerate_tables,
     eval_term,
-    eval_vector,
     satisfies,
+    term_values,
 )
 from termalg.errors import MissingAssignmentError
 from termalg.terms import enumerate_terms_by_length, parse_term, v, var_set
@@ -52,12 +53,15 @@ class TestEvaluation:
         # XOR adds x2 to x1 depth times
         assert eval_term(XOR, chain, {1: 1, 2: 1}) == (1 + depth) % 2
 
-    def test_eval_vector_matches_pointwise(self):
+    def test_term_values_matches_pointwise(self):
         t = parse_term("f(f(x1,x2),f(x2,x3))")
         vs = [1, 2, 3]
-        vec = eval_vector(XOR, t, vs)
-        for k, values in enumerate(itertools.product(range(2), repeat=3)):
-            assert vec[k] == eval_term(XOR, t, dict(zip(vs, values)))
+        stack = ModelStack(2, [XOR.table, LEFT_ZERO.table])
+        values = term_values(stack, t, vs, {})
+        assert values.shape == (2, 8)
+        for m, algebra in enumerate((XOR, LEFT_ZERO)):
+            for k, point in enumerate(itertools.product(range(2), repeat=3)):
+                assert values[m, k] == eval_term(algebra, t, dict(zip(vs, point)))
 
 
 class TestSatisfaction:
@@ -77,7 +81,7 @@ class TestSatisfaction:
     def test_distinguish_over_models_agrees_with_scan(self):
         models = list(enumerate_tables((), 2))
         lhs, rhs = parse_term("f(x1,x2)"), parse_term("f(x2,x1)")
-        batched = distinguish_over_models(models, lhs, rhs)
+        batched = distinguish_over_models(ModelStack(2, [m.table for m in models]), lhs, rhs)
         # the first model with any distinguishing assignment, scanned in order
         for m in models:
             single = scan_for_difference(m, lhs, rhs)

@@ -255,3 +255,21 @@ class TestTheoryFile:
         )
         assert code == 0
         assert out.splitlines()[0] == "f(x2,x3)"
+
+    def test_max_model_size_keeps_the_files_other_bounds(self, capsys, tmp_path):
+        # one BFS step cannot prove commutativity, and no model refutes it
+        path = tmp_path / "comm.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "axioms",
+                    "axioms": [{"lhs": "f(x1,x2)", "rhs": "f(x2,x1)"}],
+                    "oracle": {"maxDeductionSteps": 1},
+                }
+            )
+        )
+        argv = ("equiv", "--theory-file", str(path), "f(x1,x2)", "f(x2,x1)")
+        assert invoke(capsys, *argv)[1].splitlines()[0] == "Unknown"
+        code, out, _ = invoke(capsys, *argv, "--max-model-size", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "Unknown"

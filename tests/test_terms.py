@@ -18,8 +18,6 @@ from termalg.terms import (
     from_arrays,
     fresh_var_index,
     is_valid_position,
-    kth_variable,
-    lex_compare,
     max_var_index,
     parse_position,
     parse_term,
@@ -198,20 +196,6 @@ class TestPositions:
         assert not proper_prefix((1,), (1,))
         assert proper_prefix((), (2,))
 
-    def test_lex_compare_padding_rule(self):
-        # shorter position padded with 0 sorts below its extensions
-        assert lex_compare((1,), (1, 1)) == -1
-        assert lex_compare((1, 2), (2,)) == -1
-        assert lex_compare((2, 1), (2, 1)) == 0
-
-    @given(terms_strategy())
-    def test_prefix_implies_lex_less(self, t):
-        ps = positions(t)
-        for p in ps:
-            for q in ps:
-                if proper_prefix(p, q):
-                    assert lex_compare(p, q) == -1
-
     @given(terms_strategy())
     def test_subterm_composition(self, t):
         for p in positions(t):
@@ -230,13 +214,6 @@ class TestValuations:
 
     def test_variables_order(self):
         assert variables(SAMPLE) == (3, 1, 2, 2)
-
-    def test_kth_variable(self):
-        assert kth_variable(SAMPLE, 1) == 3
-        assert kth_variable(SAMPLE, 2) == 1
-        assert kth_variable(v(5), 1) == 5
-        with pytest.raises(IndexError):
-            kth_variable(SAMPLE, 5)
 
     def test_fresh_var_index(self):
         assert fresh_var_index(SAMPLE) == 4

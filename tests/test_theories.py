@@ -321,6 +321,15 @@ class TestNamesAndFiles:
         assert thy.config.max_model_size == 2
         assert thy.equal(parse_term("f(f(x1,x2),x3)"), parse_term("f(x2,x3)")) is True
 
+    def test_model_size_override_keeps_the_files_other_bounds(self, tmp_path):
+        from termalg.theories import load_theory_file
+
+        path = tmp_path / "thy.json"
+        path.write_text(json.dumps({"kind": "commutative", "oracle": {"maxDeductionSteps": 1}}))
+        assert load_theory_file(path).config == OracleConfig(max_deduction_steps=1)
+        thy = load_theory_file(path, max_model_size=2)
+        assert thy.config == OracleConfig(max_model_size=2, max_deduction_steps=1)
+
     def test_from_json_axioms(self):
         thy = theory_from_json(
             {"kind": "axioms", "axioms": [{"lhs": "f(x1,x2)", "rhs": "f(x2,x1)"}]}
