@@ -28,6 +28,7 @@ from .deduction import (
     validate_report,
 )
 from .errors import (
+    BoundsError,
     IncomparablePositionsError,
     InvalidPositionError,
     MalformedArraysError,
@@ -48,6 +49,7 @@ from .essentiality import (
     essential_subterms,
     essentiality_report,
     is_essential_subterm,
+    variable_verdicts,
 )
 from .reduction import (
     ReduciblePair,

@@ -20,7 +20,7 @@ import sys
 from .compose import sigma_compose, sigma_position_sets, star_compose
 from .deduction import SweepBounds, certificate_to_json, check_stability
 from .errors import TermAlgError
-from .essentiality import essentiality_report
+from .essentiality import essentiality_report, variable_verdicts
 from .reduction import (
     normal_form,
     reduce_with_strategy,
@@ -51,7 +51,8 @@ def _theory_of(args):
     if getattr(args, "theory_file", None):
         return load_theory_file(args.theory_file, size)
     if getattr(args, "theory", None):
-        return theory_from_name(args.theory, OracleConfig(max_model_size=size) if size else None)
+        config = OracleConfig(max_model_size=size) if size is not None else None
+        return theory_from_name(args.theory, config)
     raise TermAlgError("a theory is required: pass --theory or --theory-file")
 
 
@@ -107,28 +108,30 @@ def _cmd_equiv(args):
 
 def _cmd_essential(args):
     theory = _theory_of(args)
-    report = essentiality_report(parse_term(args.term), theory)
+    t = parse_term(args.term)
+    report = essentiality_report(t, theory)
+    ess_vars, fic_vars, und_vars = variable_verdicts(t, theory)
 
     def vars_text(s):
         return ",".join(f"x{i}" for i in sorted(s)) or "-"
 
     payload = {
-        "term": term_to_text(report.term),
-        "essentialVars": sorted(report.essential_vars),
-        "fictiveVars": sorted(report.fictive_vars),
-        "undecidedVars": sorted(report.undecided_vars),
+        "term": term_to_text(t),
+        "essentialVars": sorted(ess_vars),
+        "fictiveVars": sorted(fic_vars),
+        "undecidedVars": sorted(und_vars),
         "essentialPositions": _positions_json(report.essential_positions),
         "fictivePositions": _positions_json(report.fictive_positions),
         "undecidedPositions": _positions_json(report.undecided_positions),
     }
     lines = [
-        f"essential vars: {vars_text(report.essential_vars)}",
-        f"fictive vars: {vars_text(report.fictive_vars)}",
+        f"essential vars: {vars_text(ess_vars)}",
+        f"fictive vars: {vars_text(fic_vars)}",
         f"essential positions: {_positions_text(report.essential_positions)}",
         f"fictive positions: {_positions_text(report.fictive_positions)}",
     ]
-    if report.undecided_vars or report.undecided_positions:
-        lines.append(f"undecided vars: {vars_text(report.undecided_vars)}")
+    if und_vars or report.undecided_positions:
+        lines.append(f"undecided vars: {vars_text(und_vars)}")
         lines.append(f"undecided positions: {_positions_text(report.undecided_positions)}")
     return _emit(args, payload, lines)
 
@@ -319,7 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=("SigmaR1", "SR1"), default="SigmaR1")
     sub.add_argument("--max-depth", type=int, default=3)
     sub.add_argument("--max-vars", type=int, default=3)
-    sub.add_argument("--max-u-size", type=int, default=3)
+    sub.add_argument(
+        "--max-u-size",
+        type=int,
+        default=3,
+        help="only recorded in the report: one fresh variable already decides "
+        "whether a violation exists",
+    )
 
     add("scenarios", _cmd_scenarios, "run the golden scenario registry")
 

@@ -16,19 +16,17 @@ only up to the sweep bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .algebras import eval_term, satisfies
 from .compose import sigma_compose, star_compose
-from .errors import SideConditionError, UndecidedError
+from .errors import BoundsError, SideConditionError, UndecidedError
 from .essentiality import essential_positions, is_essential_subterm
 from .terms import (
     Node,
     Term,
     Var,
     enumerate_terms,
-    enumerate_terms_by_length,
     max_var_index,
     replace_at,
     subterm_at,
@@ -140,7 +138,7 @@ class ClosureBounds:
 
     def __post_init__(self):
         if min(self.max_term_length, self.max_vars, self.max_rounds, self.max_identities) < 1:
-            raise ValueError("closure bounds must be positive")
+            raise BoundsError("closure bounds must be positive")
 
 
 def _closure_pool(max_vars):
@@ -259,7 +257,7 @@ class SweepBounds:
 
     def __post_init__(self):
         if min(self.max_depth, self.max_vars, self.max_u_size) < 1:
-            raise ValueError("sweep bounds must be positive")
+            raise BoundsError("sweep bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -321,9 +319,6 @@ class StabilityReport:
             ],
         }
 
-    def to_json_text(self):
-        return json.dumps(self.to_json(), indent=2)
-
 
 def certificate_to_json(certificate):
     if certificate is None:
@@ -357,20 +352,9 @@ def certificate_to_json(certificate):
     return {"kind": type(certificate).__name__, "detail": repr(certificate)}
 
 
-def replacement_pool(bounds: SweepBounds):
-    """A fresh variable followed by all terms up to max_u_size over {x1, fresh}."""
-    fresh = Var(bounds.max_vars + 1)
-    pool = [fresh]
-    for u in enumerate_terms_by_length(bounds.max_u_size, 2):
-        w = substitute(u, {2: fresh})
-        if w not in pool:
-            pool.append(w)
-    return pool
-
-
-def check_stability(theory: Theory, mode: str, bounds: SweepBounds | None = None,
-                    closure_bounds: ClosureBounds | None = None,
-                    u_terms=None) -> StabilityReport:
+def check_stability(
+    theory: Theory, mode: str, bounds: SweepBounds | None = None
+) -> StabilityReport:
     """Sweep small proved identities for rule violations.
 
     mode "SigmaR1" tests closure under theory composition, mode "SR1" under
@@ -378,23 +362,22 @@ def check_stability(theory: Theory, mode: str, bounds: SweepBounds | None = None
     bounds (grouped by canonical form); theories with only a bounded oracle
     get candidates from a bounded derivation closure and exhaustive=False.
 
-    u_terms defaults to the single fresh variable, which already decides
+    The only replacement tried is one fresh variable, which already decides
     whether violations exist: any violating replacement u factors through the
     fresh variable by substitution, so a violation for some u is a violation
-    for the fresh variable too.  Pass replacement_pool(bounds) to also record
-    instances with larger replacement terms.
+    for the fresh variable too.  bounds.max_u_size is only recorded in the
+    report.
     """
     if mode not in ("SigmaR1", "SR1"):
         raise ValueError(f"mode must be 'SigmaR1' or 'SR1', got {mode!r}")
     bounds = bounds or SweepBounds()
-    if u_terms is None:
-        u_terms = (Var(bounds.max_vars + 1),)
+    u = Var(bounds.max_vars + 1)
     report = StabilityReport(theory, mode, bounds)
     if theory.exact:
-        _sweep_exact(theory, mode, bounds, report, u_terms)
+        _sweep_exact(theory, mode, bounds, report, u)
     else:
         report.exhaustive = False
-        _sweep_bounded(theory, mode, bounds, closure_bounds, report, u_terms)
+        _sweep_bounded(theory, mode, bounds, report, u)
     return report
 
 
@@ -402,7 +385,7 @@ def _compose_for(mode):
     return sigma_compose if mode == "SigmaR1" else star_compose
 
 
-def _sweep_exact(theory, mode, bounds, report, u_pool):
+def _sweep_exact(theory, mode, bounds, report, u):
     compose = _compose_for(mode)
     buckets = {}
     for t in enumerate_terms(bounds.max_depth, bounds.max_vars):
@@ -431,26 +414,25 @@ def _sweep_exact(theory, mode, bounds, report, u_pool):
             group = [t for t in members if sub_key in classes_of[t]]
             if len(group) < 2:
                 continue
-            for u in u_pool:
-                report.candidates += len(group)
-                composed = {}
-                for t in group:
-                    result = compose(t, r, u, theory)
-                    composed.setdefault(theory._cached_key(result), (t, result))
-                if len(composed) > 1:
-                    outcomes = sorted(composed.values(), key=lambda pair: term_sort_key(pair[1]))
-                    (t0, left), rest = outcomes[0], outcomes[1:]
-                    for s0, right in rest:
-                        verdict = theory.decide(left, right)
-                        assert verdict.outcome == REFUTED
-                        report.violations.append(
-                            Violation(t0, s0, r, u, left, right, verdict.certificate)
-                        )
+            report.candidates += len(group)
+            composed = {}
+            for t in group:
+                result = compose(t, r, u, theory)
+                composed.setdefault(theory._cached_key(result), (t, result))
+            if len(composed) > 1:
+                outcomes = sorted(composed.values(), key=lambda pair: term_sort_key(pair[1]))
+                (t0, left), rest = outcomes[0], outcomes[1:]
+                for s0, right in rest:
+                    verdict = theory.decide(left, right)
+                    assert verdict.outcome == REFUTED
+                    report.violations.append(
+                        Violation(t0, s0, r, u, left, right, verdict.certificate)
+                    )
 
 
-def _sweep_bounded(theory, mode, bounds, closure_bounds, report, u_pool):
+def _sweep_bounded(theory, mode, bounds, report, u):
     compose = _compose_for(mode)
-    closure_bounds = closure_bounds or ClosureBounds(
+    closure_bounds = ClosureBounds(
         max_term_length=2 ** bounds.max_depth,
         max_vars=bounds.max_vars,
         max_rounds=3,
@@ -480,21 +462,18 @@ def _sweep_bounded(theory, mode, bounds, closure_bounds, report, u_pool):
             report.unknowns.append((t, s, None, str(exc)))
             continue
         for r in reps:
-            for u in u_pool:
-                report.candidates += 1
-                try:
-                    left = compose(t, r, u, theory)
-                    right = compose(s, r, u, theory)
-                except UndecidedError as exc:
-                    report.unknowns.append((t, s, r, str(exc)))
-                    continue
-                verdict = theory.decide(left, right)
-                if verdict.outcome == REFUTED:
-                    report.violations.append(
-                        Violation(t, s, r, u, left, right, verdict.certificate)
-                    )
-                elif verdict.outcome == UNKNOWN:
-                    report.unknowns.append((t, s, r, "composed identity undecided"))
+            report.candidates += 1
+            try:
+                left = compose(t, r, u, theory)
+                right = compose(s, r, u, theory)
+            except UndecidedError as exc:
+                report.unknowns.append((t, s, r, str(exc)))
+                continue
+            verdict = theory.decide(left, right)
+            if verdict.outcome == REFUTED:
+                report.violations.append(Violation(t, s, r, u, left, right, verdict.certificate))
+            elif verdict.outcome == UNKNOWN:
+                report.unknowns.append((t, s, r, "composed identity undecided"))
 
 
 def validate_report(report: StabilityReport) -> bool:

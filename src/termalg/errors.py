@@ -56,5 +56,9 @@ class ModelSearchLimitError(TermAlgError):
     """Exhaustive finite-model search was asked for a carrier too large to scan."""
 
 
+class BoundsError(TermAlgError, ValueError):
+    """A search or sweep bound lies outside its allowed range."""
+
+
 class ParseError(TermAlgError):
     """Bad term, position, or file syntax."""

@@ -1,10 +1,11 @@
-"""Essential and fictive variables, positions, and subterms of a term.
+"""Essential and fictive positions, variables and subterms of a term.
 
 A position p is fictive in t with respect to a theory when the theory proves
-t(p; x_a) = t(p; x_b) for two fresh distinct variables; a variable x_i is
-fictive when t is provably unchanged by renaming x_i to a fresh variable.
-Fictive positions are upward-closed under extension, which the computation
-exploits: descendants of a fictive position are classified without queries.
+t(p; x_a) = t(p; x_b) for two fresh distinct variables.  Fictive positions are
+upward-closed under extension, which the computation exploits: descendants of
+a fictive position are classified without queries.  A variable x_i is fictive
+when t is provably unchanged by renaming x_i to a fresh variable; only
+``variable_verdicts`` asks about variables, and it keeps no memo.
 """
 
 from __future__ import annotations
@@ -23,31 +24,32 @@ from .terms import (
     subterm_at,
     subterm_set,
     var_set,
-    variables,
 )
 from .theories import Theory
 
 
 @dataclass(frozen=True)
 class EssentialityReport:
-    term: Term
-    essential_vars: frozenset
-    fictive_vars: frozenset
-    undecided_vars: frozenset
+    """The positions of a term, each classified essential, fictive or undecided.
+
+    Positions do not change when variables are renamed, so one report serves
+    every term in a renaming class.
+    """
+
     essential_positions: frozenset
     fictive_positions: frozenset
     undecided_positions: frozenset
 
     @property
     def decided(self):
-        return not self.undecided_vars and not self.undecided_positions
+        return not self.undecided_positions
 
 
 def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
-    """Classify every variable and position of t as essential/fictive/undecided.
+    """Classify every position of t as essential, fictive or undecided.
 
     Reports are computed once per variable-renaming class (keyed by
-    ``rename_canonical``) and renamed once per term.
+    ``rename_canonical``); every member of the class shares that report.
     """
     by_term = theory._essentiality_by_term
     report = by_term.get(t)
@@ -57,28 +59,8 @@ def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
         report = computed.get(canon)
         if report is None:
             report = computed[canon] = _compute_report(canon, theory)
-        report = by_term[t] = _rename_report(report, t)
+        by_term[t] = report
     return report
-
-
-def _rename_report(report: EssentialityReport, t: Term) -> EssentialityReport:
-    if report.term == t:
-        return report
-    # positions are shared; variable verdicts transfer along the renaming
-    mapping = dict(zip(variables(report.term), variables(t)))
-
-    def remap(s):
-        return frozenset(mapping[i] for i in s)
-
-    return EssentialityReport(
-        t,
-        remap(report.essential_vars),
-        remap(report.fictive_vars),
-        remap(report.undecided_vars),
-        report.essential_positions,
-        report.fictive_positions,
-        report.undecided_positions,
-    )
 
 
 def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
@@ -98,26 +80,26 @@ def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
             ess_p.add(p)
         else:
             und_p.add(p)
+    return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p))
 
+
+def variable_verdicts(t: Term, theory: Theory):
+    """(essential, fictive, undecided) variable indexes of t.
+
+    x_i is fictive when the theory proves t = t[x_i <- fresh], essential when
+    it refutes that identity, and undecided otherwise.  Nothing is cached.
+    """
+    fresh = Var(max_var_index(t) + 1)
     ess_v, fic_v, und_v = set(), set(), set()
     for i in sorted(var_set(t)):
-        verdict = theory.equal(t, substitute(t, {i: xa}))
+        verdict = theory.equal(t, substitute(t, {i: fresh}))
         if verdict is True:
             fic_v.add(i)
         elif verdict is False:
             ess_v.add(i)
         else:
             und_v.add(i)
-
-    return EssentialityReport(
-        t,
-        frozenset(ess_v),
-        frozenset(fic_v),
-        frozenset(und_v),
-        frozenset(ess_p),
-        frozenset(fic_p),
-        frozenset(und_p),
-    )
+    return frozenset(ess_v), frozenset(fic_v), frozenset(und_v)
 
 
 def decided_report(t: Term, theory: Theory) -> EssentialityReport:

@@ -14,7 +14,6 @@ seeded strategy runner exists to test uniqueness of normal forms.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -74,9 +73,6 @@ class ReductionTrace:
                 for kind, datum, result in self.steps
             ],
         }
-
-    def to_json_text(self):
-        return json.dumps(self.to_json(), indent=2)
 
 
 def reducible_pairs(t: Term, theory: Theory) -> frozenset:

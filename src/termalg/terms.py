@@ -146,16 +146,6 @@ class Node(Term):
         """Nothing to do: ``__new__`` returns the interned, fully built node."""
 
 
-def v(index: int) -> Var:
-    """Shorthand constructor for a variable leaf."""
-    return Var(index)
-
-
-def f(left: Term, right: Term) -> Node:
-    """Shorthand constructor for an application node."""
-    return Node(left, right)
-
-
 # ---------------------------------------------------------------------------
 # positions and orders
 
@@ -180,14 +170,6 @@ def positions(t: Term):
         got = tuple(out)
         _set(t, "_positions", got)
     return got
-
-
-def is_valid_position(t: Term, p: Position) -> bool:
-    for d in p:
-        if not isinstance(t, Node):
-            return False
-        t = t.left if d == 1 else t.right
-    return True
 
 
 def subterm_at(t: Term, p: Position) -> Term:

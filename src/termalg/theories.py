@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import FiniteAlgebra, ModelStack, distinguish_over_models, term_values
-from .errors import ModelSearchLimitError, NonOrientableError, ParseError, UndecidedError
+from .errors import (
+    BoundsError,
+    ModelSearchLimitError,
+    NonOrientableError,
+    ParseError,
+    UndecidedError,
+)
 from .terms import (
     Node,
     Term,
@@ -69,7 +75,7 @@ class OracleConfig:
 
     def __post_init__(self):
         if min(self.max_model_size, self.max_deduction_term_size, self.max_deduction_steps) < 1:
-            raise ValueError("oracle bounds must be positive")
+            raise BoundsError("oracle bounds must be positive")
 
 
 # --- verdict certificates ---------------------------------------------------
@@ -476,8 +482,8 @@ class Theory:
         self._equal_cache = {}  # (t, s) -> (bounded answer, proof path)
         self._refute_cache = {}  # (t, s) -> (counter-model or None,)
         self._models_by_size = {}  # size -> ModelStack of all models
-        self._essentiality_cache = {}  # rename_canonical(t) -> its report
-        self._essentiality_by_term = {}  # t -> its report
+        self._essentiality_cache = {}  # rename_canonical(t) -> its position report
+        self._essentiality_by_term = {}  # t -> the same report object, shared by renaming
         self._rd_cache = {}  # t -> reduction.reducible_pairs(t)
         self._rm_cache = {}  # t -> reduction.removable_positions(t)
 
@@ -710,7 +716,7 @@ class SemigroupAbsorptionTheory(Theory):
 
     def __init__(self, i: int, j: int, config=None):
         if i not in (1, 2, 3) or j not in (1, 2, 3):
-            raise ValueError("absorption indexes must lie in {1,2,3}")
+            raise BoundsError("absorption indexes must lie in {1,2,3}")
         self.i, self.j = i, j
         self.name = f"sg-abs-{i}-{j}"
         super().__init__(config)
@@ -939,8 +945,11 @@ def theory_from_json(obj, max_model_size: int | None = None) -> Theory:
     if isinstance(obj, str):
         obj = json.loads(obj)
     oracle = obj.get("oracle") or {}
+    unknown = sorted(set(oracle) - set(_ORACLE_FIELDS))
+    if unknown:
+        raise ParseError(f"unknown oracle bounds {unknown}; known: {sorted(_ORACLE_FIELDS)}")
     bounds = {name: oracle[key] for key, name in _ORACLE_FIELDS.items() if key in oracle}
-    if max_model_size:
+    if max_model_size is not None:
         bounds["max_model_size"] = max_model_size
     config = OracleConfig(**bounds)
     kind = obj.get("kind")

@@ -15,7 +15,7 @@ from termalg.algebras import (
     term_values,
 )
 from termalg.errors import MissingAssignmentError
-from termalg.terms import enumerate_terms_by_length, parse_term, v, var_set
+from termalg.terms import Var, enumerate_terms_by_length, parse_term, var_set
 from termalg.theories import AxiomsTheory, Identity, _models_vectorized, theory_from_name
 
 LEFT_ZERO = FiniteAlgebra.from_rows([[0, 0], [1, 1]])  # f(a,b) = a
@@ -37,7 +37,7 @@ class TestEvaluation:
         assert eval_term(LEFT_ZERO, parse_term("f(x1,x2)"), {1: 1, 2: 0}) == 1
 
     def test_leaf(self):
-        assert eval_term(LEFT_ZERO, v(3), {3: 1}) == 1
+        assert eval_term(LEFT_ZERO, Var(3), {3: 1}) == 1
 
     def test_xor_hand_evaluation(self):
         # XOR(XOR(1,1),1) = 1
@@ -66,7 +66,7 @@ class TestEvaluation:
 
 class TestSatisfaction:
     def test_xor_satisfies_cancellation(self):
-        assert satisfies(XOR, parse_term("f(f(x1,x1),x2)"), v(2))
+        assert satisfies(XOR, parse_term("f(f(x1,x1),x2)"), Var(2))
 
     def test_left_zero_fails_commutativity(self):
         assert not satisfies(LEFT_ZERO, parse_term("f(x1,x2)"), parse_term("f(x2,x1)"))
@@ -100,7 +100,7 @@ class TestEnumeration:
 
     def test_idempotent_size_2_count(self):
         # f(a,a)=a pins the diagonal; the two off-diagonal cells are free
-        axiom = (parse_term("f(x1,x1)"), v(1))
+        axiom = (parse_term("f(x1,x1)"), Var(1))
         assert len(list(enumerate_tables((axiom,), 2))) == 4
 
     def test_flat_round_trip(self):

@@ -160,6 +160,129 @@ class TestPositionsCommands:
         assert doc == ["11"]
 
 
+# an axioms theory whose oracle leaves some positions and variables undecided
+UNDECIDED = {
+    "kind": "axioms",
+    "axioms": [{"lhs": "f(f(x1,x1),x2)", "rhs": "f(x2,x2)"}],
+    "oracle": {"maxModelSize": 2, "maxDeductionSteps": 1},
+}
+JSON_KEYS = (
+    "essentialVars",
+    "fictiveVars",
+    "undecidedVars",
+    "essentialPositions",
+    "fictivePositions",
+    "undecidedPositions",
+)
+# pinned `termalg essential` output: (theory, term, text, the JSON lists in
+# JSON_KEYS order)
+ESSENTIAL_CASES = [
+    (
+        SIGMA2,
+        "f(f(x1,x2),x3)",
+        "essential vars: x2,x3\n"
+        "fictive vars: x1\n"
+        "essential positions: (e,1,12,2)\n"
+        "fictive positions: (11)\n",
+        ([2, 3], [1], [], ["e", "1", "12", "2"], ["11"], []),
+    ),
+    (
+        SIGMA2,
+        "f(f(x2,x1),x2)",
+        "essential vars: x1,x2\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,12,2)\n"
+        "fictive positions: (11)\n",
+        ([1, 2], [], [], ["e", "1", "12", "2"], ["11"], []),
+    ),
+    (
+        SIGMA2,
+        "f(f(f(x7,x3),x3),x7)",
+        "essential vars: x3,x7\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,12,2)\n"
+        "fictive positions: (11,111,112)\n",
+        ([3, 7], [], [], ["e", "1", "12", "2"], ["11", "111", "112"], []),
+    ),
+    (
+        "idempotent",
+        "f(x1,x1)",
+        "essential vars: x1\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,2)\n"
+        "fictive positions: ()\n",
+        ([1], [], [], ["e", "1", "2"], [], []),
+    ),
+    (
+        "idempotent",
+        "f(f(x1,x1),x2)",
+        "essential vars: x1,x2\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,11,12,2)\n"
+        "fictive positions: ()\n",
+        ([1, 2], [], [], ["e", "1", "11", "12", "2"], [], []),
+    ),
+    (
+        "idempotent",
+        "f(x7,f(x3,x7))",
+        "essential vars: x3,x7\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,2,21,22)\n"
+        "fictive positions: ()\n",
+        ([3, 7], [], [], ["e", "1", "2", "21", "22"], [], []),
+    ),
+    (
+        UNDECIDED,
+        "f(f(x1,x1),x2)",
+        "essential vars: x2\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,11,12,2)\n"
+        "fictive positions: ()\n"
+        "undecided vars: x1\n"
+        "undecided positions: ()\n",
+        ([2], [], [1], ["e", "1", "11", "12", "2"], [], []),
+    ),
+    (
+        UNDECIDED,
+        "f(f(x2,x2),f(x1,x3))",
+        "essential vars: x3\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,11,12,2,22)\n"
+        "fictive positions: ()\n"
+        "undecided vars: x1,x2\n"
+        "undecided positions: (21)\n",
+        ([3], [], [1, 2], ["e", "1", "11", "12", "2", "22"], [], ["21"]),
+    ),
+    (
+        UNDECIDED,
+        "f(f(x3,x3),x3)",
+        "essential vars: x3\n"
+        "fictive vars: -\n"
+        "essential positions: (e,1,11,2)\n"
+        "fictive positions: ()\n"
+        "undecided vars: -\n"
+        "undecided positions: (12)\n",
+        ([3], [], [], ["e", "1", "11", "2"], [], ["12"]),
+    ),
+]
+
+
+class TestEssentialOutput:
+    @pytest.mark.parametrize("case", range(len(ESSENTIAL_CASES)))
+    def test_text_and_json_are_pinned(self, capsys, tmp_path, case):
+        theory, term, text, lists = ESSENTIAL_CASES[case]
+        if isinstance(theory, dict):
+            path = tmp_path / "theory.json"
+            path.write_text(json.dumps(theory))
+            options = ("--theory-file", str(path))
+        else:
+            options = ("--theory", theory)
+        assert invoke(capsys, "essential", *options, term) == (0, text, "")
+        payload = {"term": term, **dict(zip(JSON_KEYS, lists))}
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert invoke(capsys, "essential", *options, term, "--json") == (0, expected, "")
+
+
 class TestCompose:
     def test_compose_worked_example(self, capsys):
         code, doc, _ = invoke_json(
@@ -273,3 +396,41 @@ class TestTheoryFile:
         code, out, _ = invoke(capsys, *argv, "--max-model-size", "2")
         assert code == 0
         assert out.splitlines()[0] == "Unknown"
+
+
+class TestBounds:
+    """Out-of-range bounds end in exit code 1 and one error line."""
+
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_max_model_size_out_of_range(self, capsys, size):
+        argv = ("equiv", "--theory", "idempotent", "--max-model-size", size, "f(x1,x1)", "x1")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "commutative", "oracle": {"maxDeductionSteps": 0}},
+            {"kind": "commutative", "oracle": {"maxModelSise": 2}},
+            {"kind": "semigroup-absorption", "i": 4, "j": 1},
+        ],
+    )
+    def test_theory_file_out_of_range(self, capsys, tmp_path, doc):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "equiv", "--theory-file", str(path), "x1", "x1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_max_model_size_zero_with_a_theory_file(self, capsys, tmp_path):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"kind": "commutative"}))
+        argv = ("equiv", "--theory-file", str(path), "--max-model-size", "0", "x1", "x1")
+        assert invoke(capsys, *argv)[0] == 1
+
+    def test_sweep_bound_out_of_range(self, capsys):
+        argv = ("stability", "--theory", "idempotent", "--max-depth", "0")
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert "sweep bounds" in err

@@ -14,11 +14,10 @@ from termalg.deduction import (
     bounded_closure,
     certificate_to_json,
     check_stability,
-    replacement_pool,
     validate_report,
 )
 from termalg.errors import SideConditionError
-from termalg.terms import parse_term, v, var_set
+from termalg.terms import Var, parse_term, var_set
 from termalg.theories import CounterModel, Identity, theory_from_name
 
 from conftest import shared_theory
@@ -89,7 +88,7 @@ class TestApplyRule:
         got = apply_rule(
             "SigmaR1",
             (premise,),
-            {"pattern": v(1), "replacement": parse_term("f(x3,x3)")},
+            {"pattern": Var(1), "replacement": parse_term("f(x3,x3)")},
             idempotent,
         )
         assert got == Identity.parse("f(f(x3,x3),x2)=f(f(x3,x3),x2)")
@@ -100,7 +99,7 @@ class TestApplyRule:
             apply_rule(
                 "SigmaR1",
                 (Identity.parse("f(x1,x1)=x1"),),
-                {"pattern": v(1), "replacement": v(2)},
+                {"pattern": Var(1), "replacement": Var(2)},
             )
 
     def test_sigma_r1_rejects_false_premise(self, idempotent):
@@ -108,7 +107,7 @@ class TestApplyRule:
             apply_rule(
                 "SigmaR1",
                 (Identity.parse("f(x1,x2)=f(x2,x1)"),),
-                {"pattern": v(1), "replacement": v(3)},
+                {"pattern": Var(1), "replacement": Var(3)},
                 idempotent,
             )
 
@@ -119,7 +118,7 @@ class TestApplyRule:
             apply_rule(
                 "SR1",
                 (premise,),
-                {"pattern": parse_term("f(x1,x2)"), "replacement": v(4)},
+                {"pattern": parse_term("f(x1,x2)"), "replacement": Var(4)},
                 sigma2,
             )
 
@@ -165,11 +164,6 @@ class TestSweeps:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             SweepBounds(0, 1, 1)
-
-    def test_replacement_pool_shape(self):
-        pool = replacement_pool(SweepBounds(2, 2, 2))
-        assert pool[0] == v(3)
-        assert all(u.length <= 2 for u in pool[1:])
 
     def test_idempotent_sweep_clean(self, idempotent):
         report = check_stability(idempotent, "SigmaR1", SweepBounds(2, 2, 1))

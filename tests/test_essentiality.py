@@ -1,16 +1,16 @@
-"""Essential/fictive variables, positions, and essential subterms."""
+"""Essential/fictive positions and variables, and essential subterms."""
 
 import random
-
-import pytest
 
 from termalg.essentiality import (
     essential_positions,
     essential_subterms,
     essentiality_report,
     is_essential_subterm,
+    variable_verdicts,
 )
-from termalg.terms import parse_term, positions, random_term, v, var_set
+from termalg.terms import Var, parse_term, positions, random_term, var_set
+from termalg.theories import AxiomsTheory, Identity, OracleConfig
 
 from conftest import shared_theory
 
@@ -19,12 +19,24 @@ def sigma2():
     return shared_theory("grp-rule:f(f(x1,x2),x3)=f(x2,x3)")
 
 
+class CountingTheory(AxiomsTheory):
+    """A bounded theory that records every equality query it is asked."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queries = []
+
+    def equal(self, t, s):
+        self.queries.append((t, s))
+        return super().equal(t, s)
+
+
 class TestReport:
     def test_left_discard_rule(self):
         # f(f(x1,x2),x3) = f(x2,x3) makes the innermost left leaf irrelevant
-        rep = essentiality_report(parse_term("f(f(x1,x2),x3)"), sigma2())
-        assert rep.fictive_vars == {1}
-        assert rep.essential_vars == {2, 3}
+        t = parse_term("f(f(x1,x2),x3)")
+        rep = essentiality_report(t, sigma2())
+        assert variable_verdicts(t, sigma2()) == ({2, 3}, {1}, set())
         assert rep.fictive_positions == {(1, 1)}
         assert rep.essential_positions == {(), (1,), (1, 2), (2,)}
         assert rep.decided
@@ -34,7 +46,8 @@ class TestReport:
         for _ in range(20):
             t = random_term(rng, 4, 3)
             rep = essentiality_report(t, idempotent)
-            assert rep.essential_vars | rep.fictive_vars | rep.undecided_vars == var_set(t)
+            essential, fictive, undecided = variable_verdicts(t, idempotent)
+            assert essential | fictive | undecided == var_set(t)
             all_pos = rep.essential_positions | rep.fictive_positions | rep.undecided_positions
             assert all_pos == set(positions(t))
 
@@ -56,18 +69,40 @@ class TestReport:
 
     def test_variable_fictive_only_if_every_occurrence_is(self):
         # x2 occurs both in the discarded branch and in an essential spot
-        rep = essentiality_report(parse_term("f(f(x2,x1),x2)"), sigma2())
-        assert 2 in rep.essential_vars
+        essential, _, _ = variable_verdicts(parse_term("f(f(x2,x1),x2)"), sigma2())
+        assert 2 in essential
 
     def test_root_always_essential_in_consistent_theories(self, commutative):
         rep = essentiality_report(parse_term("f(x1,x2)"), commutative)
         assert () in rep.essential_positions
 
     def test_report_cached_across_renaming(self, idempotent):
-        a = essentiality_report(parse_term("f(x1,f(x2,x1))"), idempotent)
-        b = essentiality_report(parse_term("f(x7,f(x3,x7))"), idempotent)
-        assert a.essential_positions == b.essential_positions
-        assert b.essential_vars == {7, 3} - b.fictive_vars
+        t, renamed = parse_term("f(x1,f(x2,x1))"), parse_term("f(x7,f(x3,x7))")
+        assert essentiality_report(renamed, idempotent) is essentiality_report(t, idempotent)
+        essential, fictive, undecided = variable_verdicts(renamed, idempotent)
+        assert essential == {7, 3} - fictive and not undecided
+
+    def test_no_query_per_variable(self):
+        # one query per position outside a fictive subtree, none per variable
+        axiom = Identity.parse("f(f(x1,x2),x3)=f(x2,x3)")
+        thy = CountingTheory((axiom,), OracleConfig(max_model_size=2, max_deduction_steps=200))
+        t = parse_term("f(f(f(x1,x2),x3),x4)")
+        rep = essentiality_report(t, thy)
+        assert (1, 1) in rep.fictive_positions
+        under_fictive = {
+            p for p in positions(t) if any(p[:k] in rep.fictive_positions for k in range(len(p)))
+        }
+        assert len(thy.queries) <= len(positions(t)) - len(under_fictive)
+        assert all(t not in query for query in thy.queries)
+
+
+class TestVariableVerdicts:
+    def test_undecided_theory(self):
+        # no model of size 1 separates anything, and one BFS step proves
+        # nothing but reflexivity
+        axiom = Identity.parse("f(f(x1,x1),x2)=f(x2,x2)")
+        thy = AxiomsTheory((axiom,), OracleConfig(max_model_size=1, max_deduction_steps=1))
+        assert variable_verdicts(parse_term("f(x1,x2)"), thy) == (set(), set(), {1, 2})
 
 
 class TestEssentialSubterms:
@@ -81,18 +116,18 @@ class TestEssentialSubterms:
     def test_is_essential_subterm(self):
         thy = sigma2()
         assert is_essential_subterm(parse_term("f(x1,x2)"), self.T, thy)
-        assert not is_essential_subterm(v(9), self.T, thy)
+        assert not is_essential_subterm(Var(9), self.T, thy)
 
     def test_essential_subterms_closed_under_equivalence(self, idempotent):
         t = parse_term("f(f(x1,x1),x2)")
         got = essential_subterms(t, idempotent)
         # f(x1,x1) sits at an essential position and x1 is provably equal to it
         assert parse_term("f(x1,x1)") in got
-        assert v(1) in got
+        assert Var(1) in got
 
     def test_fictive_branch_excluded(self):
         thy = sigma2()
         t = parse_term("f(f(f(x1,x2),x3),x4)")
         got = essential_subterms(t, thy)
         assert parse_term("f(x1,x2)") not in got
-        assert v(3) in got and v(4) in got
+        assert Var(3) in got and Var(4) in got

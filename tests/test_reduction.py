@@ -16,7 +16,7 @@ from termalg.reduction import (
     step_E,
     step_S,
 )
-from termalg.terms import parse_term, random_term, v
+from termalg.terms import Var, parse_term, random_term
 
 from conftest import shared_theory
 
@@ -87,7 +87,7 @@ class TestRemovablePositions:
 class TestSteps:
     def test_step_s(self, idempotent):
         t = parse_term("f(f(x1,x1),x1)")
-        assert step_S(t, ReduciblePair((), (2,)), idempotent) == v(1)
+        assert step_S(t, ReduciblePair((), (2,)), idempotent) == Var(1)
 
     def test_step_s_rejects_non_pair(self, commutative):
         with pytest.raises(NotReducibleError):
@@ -106,7 +106,7 @@ class TestSteps:
 
 class TestNormalForms:
     def test_sr_golden(self, idempotent):
-        assert sr(parse_term("f(f(x1,x1),x1)"), idempotent) == v(1)
+        assert sr(parse_term("f(f(x1,x1),x1)"), idempotent) == Var(1)
         assert sr(parse_term("f(x1,x2)"), idempotent) == parse_term("f(x1,x2)")
 
     def test_er_golden(self):
@@ -116,7 +116,7 @@ class TestNormalForms:
 
     def test_bad_mode(self, idempotent):
         with pytest.raises(ValueError):
-            normal_form(v(1), idempotent, "X")
+            normal_form(Var(1), idempotent, "X")
 
     def test_trace_lengths_strictly_decrease(self, idempotent):
         rng = random.Random(11)

@@ -13,11 +13,9 @@ from termalg.terms import (
     Var,
     enumerate_terms,
     enumerate_terms_by_length,
-    f,
     fold_term,
     from_arrays,
     fresh_var_index,
-    is_valid_position,
     max_var_index,
     parse_position,
     parse_term,
@@ -33,7 +31,6 @@ from termalg.terms import (
     subterm_set,
     term_to_text,
     to_arrays,
-    v,
     valuations,
     var_set,
     variables,
@@ -62,15 +59,15 @@ class TestStructure:
             Node(Var(1), "x2")
 
     def test_immutability(self):
-        t = f(v(1), v(2))
+        t = Node(Var(1), Var(2))
         with pytest.raises(AttributeError):
-            t.left = v(3)
+            t.left = Var(3)
 
     def test_structural_equality_and_hash(self):
-        a = f(v(1), f(v(2), v(1)))
-        b = f(v(1), f(v(2), v(1)))
+        a = Node(Var(1), Node(Var(2), Var(1)))
+        b = Node(Var(1), Node(Var(2), Var(1)))
         assert a == b and hash(a) == hash(b)
-        assert a != f(v(1), f(v(1), v(2)))
+        assert a != Node(Var(1), Node(Var(1), Var(2)))
 
 
 def structural_hash(t):
@@ -86,7 +83,7 @@ class TestInterning:
         assert parse_term(text) is parse_term(text)
         assert Node(Var(1), Var(2)) is Node(Var(1), Var(2))
         assert Var(7) is Var(7)
-        assert replace_at(SAMPLE, (1,), v(3)) is SAMPLE
+        assert replace_at(SAMPLE, (1,), Var(3)) is SAMPLE
 
     @given(terms_strategy())
     def test_hash_is_the_structural_formula(self, t):
@@ -135,9 +132,9 @@ class TestDeepTerms:
         assert arrays.var_indexes == (1,) + (2,) * self.DEPTH
         assert from_arrays(arrays) is t
         deepest = (1,) * self.DEPTH
-        assert subterm_at(t, deepest) == v(1)
-        assert replace_at(t, deepest, v(3)) == substitute(t, {1: v(3)})
-        assert rename_canonical(substitute(t, {1: v(4), 2: v(6)})) is t
+        assert subterm_at(t, deepest) == Var(1)
+        assert replace_at(t, deepest, Var(3)) == substitute(t, {1: Var(3)})
+        assert rename_canonical(substitute(t, {1: Var(4), 2: Var(6)})) is t
         assert len(subterm_set(t)) == self.DEPTH + 2
 
     def test_parse_errors_at_depth(self):
@@ -155,7 +152,7 @@ class TestDeepTerms:
         memo = {}
         assert fold_term(t, lambda x: x.index, node, memo) == 1 + 2 * self.DEPTH
         assert len(calls) == self.DEPTH and len(memo) == self.DEPTH + 2
-        square = f(t, t)
+        square = Node(t, t)
         assert fold_term(square, lambda x: x.index, node, memo) == 2 + 4 * self.DEPTH
         assert len(calls) == self.DEPTH + 1
 
@@ -174,7 +171,7 @@ class TestPositions:
 
     def test_subterm_at(self):
         assert subterm_at(SAMPLE, ()) == SAMPLE
-        assert subterm_at(SAMPLE, (1,)) == v(3)
+        assert subterm_at(SAMPLE, (1,)) == Var(3)
         assert subterm_at(SAMPLE, (2, 1)) == parse_term("f(x1,x2)")
 
     def test_subterm_at_bad_position(self):
@@ -182,13 +179,9 @@ class TestPositions:
             subterm_at(SAMPLE, (1, 1))
 
     def test_replace_at(self):
-        out = replace_at(SAMPLE, (2, 2), v(9))
+        out = replace_at(SAMPLE, (2, 2), Var(9))
         assert out == parse_term("f(x3,f(f(x1,x2),x9))")
-        assert replace_at(SAMPLE, (), v(1)) == v(1)
-
-    def test_is_valid_position(self):
-        assert is_valid_position(SAMPLE, (2, 1, 2))
-        assert not is_valid_position(SAMPLE, (1, 1))
+        assert replace_at(SAMPLE, (), Var(1)) == Var(1)
 
     def test_prefix_predicates(self):
         assert prefix_leq((1,), (1, 2))
@@ -218,11 +211,11 @@ class TestValuations:
     def test_fresh_var_index(self):
         assert fresh_var_index(SAMPLE) == 4
         assert fresh_var_index() == 1
-        assert max_var_index(v(2), v(7)) == 7
+        assert max_var_index(Var(2), Var(7)) == 7
 
     def test_subterm_set(self):
-        assert subterm_set(parse_term("f(x1,x1)")) == {parse_term("f(x1,x1)"), v(1)}
-        assert subterm_set(v(2)) == {v(2)}
+        assert subterm_set(parse_term("f(x1,x1)")) == {parse_term("f(x1,x1)"), Var(1)}
+        assert subterm_set(Var(2)) == {Var(2)}
         assert len(subterm_set(SAMPLE)) == 6
 
 
@@ -249,7 +242,7 @@ class TestArrays:
         assert from_arrays(arrays) == SAMPLE
 
     def test_leaf_encoding(self):
-        arrays = to_arrays(v(1))
+        arrays = to_arrays(Var(1))
         assert arrays.positions == ((),)
         assert arrays.var_indexes == (1,)
 

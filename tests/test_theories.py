@@ -7,8 +7,14 @@ import random
 import pytest
 
 from termalg.algebras import eval_term, satisfies
-from termalg.errors import ModelSearchLimitError, NonOrientableError, ParseError
-from termalg.terms import Node, Var, enumerate_terms, parse_term, random_term, v
+from termalg.errors import (
+    BoundsError,
+    ModelSearchLimitError,
+    NonOrientableError,
+    ParseError,
+    TermAlgError,
+)
+from termalg.terms import Node, Var, enumerate_terms, parse_term, random_term
 from termalg.theories import (
     AxiomsTheory,
     CounterModel,
@@ -64,7 +70,7 @@ class TestIdentity:
 
 class TestExactDeciders:
     def test_idempotent_goldens(self, idempotent):
-        assert idempotent.equal(parse_term("f(x1,x1)"), v(1)) is True
+        assert idempotent.equal(parse_term("f(x1,x1)"), Var(1)) is True
         assert idempotent.equal(parse_term("f(f(x1,x1),x2)"), parse_term("f(x1,x2)")) is True
         assert idempotent.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is False
 
@@ -76,7 +82,7 @@ class TestExactDeciders:
             )
             is True
         )
-        assert commutative.equal(parse_term("f(x1,x1)"), v(1)) is False
+        assert commutative.equal(parse_term("f(x1,x1)"), Var(1)) is False
 
     def test_rewrite_rule_goldens(self, sigma2):
         assert sigma2.equal(parse_term("f(f(x1,x2),x3)"), parse_term("f(x2,x3)")) is True
@@ -168,11 +174,11 @@ class TestExactDeciders:
             assert idempotent.equal(t, s) == idempotent.equal(s, t)
 
     def test_congruence_under_contexts(self, idempotent):
-        t, s = parse_term("f(x1,x1)"), v(1)
+        t, s = parse_term("f(x1,x1)"), Var(1)
         from termalg.terms import Node
 
-        assert idempotent.equal(Node(t, v(2)), Node(s, v(2))) is True
-        assert idempotent.equal(Node(v(2), t), Node(v(2), s)) is True
+        assert idempotent.equal(Node(t, Var(2)), Node(s, Var(2))) is True
+        assert idempotent.equal(Node(Var(2), t), Node(Var(2), s)) is True
 
 
 class TestSemigroupAbsorption:
@@ -277,7 +283,7 @@ class TestBoundedOracle:
 
 class TestCertificates:
     def test_proved_derivation(self, idempotent):
-        verdict = idempotent.decide(parse_term("f(x1,x1)"), v(1))
+        verdict = idempotent.decide(parse_term("f(x1,x1)"), Var(1))
         assert verdict.proved
         assert isinstance(verdict.certificate, Derivation)
 
@@ -335,6 +341,28 @@ class TestNamesAndFiles:
             {"kind": "axioms", "axioms": [{"lhs": "f(x1,x2)", "rhs": "f(x2,x1)"}]}
         )
         assert thy.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is True
+
+    def test_model_size_zero_is_rejected_not_defaulted(self):
+        with pytest.raises(BoundsError):
+            theory_from_json({"kind": "commutative"}, max_model_size=0)
+
+    def test_unknown_oracle_key_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="maxModelSise"):
+            theory_from_json({"kind": "commutative", "oracle": {"maxModelSise": 2}})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OracleConfig(max_model_size=-1),
+            lambda: OracleConfig(max_deduction_steps=0),
+            lambda: theory_from_name("sg-abs-4-1"),
+            lambda: theory_from_json({"kind": "semigroup-absorption", "i": 1, "j": 0}),
+        ],
+    )
+    def test_out_of_range_bounds_are_domain_errors(self, build):
+        with pytest.raises(BoundsError) as caught:
+            build()
+        assert isinstance(caught.value, TermAlgError) and isinstance(caught.value, ValueError)
 
     def test_name_equality(self):
         assert theory_from_name("idempotent") == theory_from_name("idempotent")
