@@ -23,7 +23,7 @@ from .essentiality import decided_report
 from .terms import (
     Node,
     Term,
-    Var,
+    fold_term,
     position_to_text,
     positions,
     prefix_leq,
@@ -50,17 +50,9 @@ def inductive_compose(t: Term, pairs) -> Term:
                 raise NestedPatternsError(f"pattern {r} listed twice")
             if r in subterm_set(r2):
                 raise NestedPatternsError(f"pattern {r} is a subterm of pattern {r2}")
-    replacement = dict(pairs)
-
-    def rec(u):
-        got = replacement.get(u)
-        if got is not None:
-            return got
-        if isinstance(u, Var):
-            return u
-        return Node(rec(u.left), rec(u.right))
-
-    return rec(t)
+    # a walk stops at a term already in the memo, so seeding it with the
+    # replacements stops it at each occurrence and never enters a replacement
+    return fold_term(t, lambda x: x, Node, dict(pairs))
 
 
 def check_incomparable(entries) -> tuple:

@@ -41,7 +41,8 @@ class NotRemovableError(TermAlgError):
 
 
 class NonOrientableError(TermAlgError):
-    """A rule cannot be oriented into a size-decreasing rewrite."""
+    """A rule cannot be oriented into a size-decreasing rewrite, or its
+    rewriting is not convergent, so a normal form is no canonical form."""
 
 
 class SideConditionError(TermAlgError):

@@ -268,23 +268,28 @@ def subterm_set(t: Term):
     return out
 
 
-_JOIN = object()  # stack marker: combine the last two results into a Node
-
-
 def substitute(t: Term, mapping) -> Term:
-    """Replace each variable x_i with mapping[i] (variables not in mapping stay)."""
-    out = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u is _JOIN:
-            right = out.pop()
-            out[-1] = Node(out[-1], right)
-        elif isinstance(u, Var):
-            out.append(mapping.get(u.index, u))
+    """Replace each variable x_i with mapping[i] (variables not in mapping stay).
+
+    Walks like fold_term but keeps no memo: for the small patterns most
+    callers substitute into, hashing each subterm costs more than it saves.
+    """
+    stack = []
+    while True:
+        while type(t) is Node:
+            stack.append(t)
+            t = t.left
+        value = mapping.get(t.index, t)
+        while stack:
+            u = stack.pop()
+            if type(u) is tuple:
+                value = Node(u[0], value)
+            else:
+                stack.append((value,))
+                t = u.right
+                break
         else:
-            stack += (_JOIN, u.right, u.left)
-    return out[0]
+            return value
 
 
 def fold_term(t: Term, leaf, node, memo):
@@ -292,25 +297,29 @@ def fold_term(t: Term, leaf, node, memo):
 
     memo maps terms to values (never None) and keeps every value computed,
     so shared subterms are folded once; a term already in memo is returned
-    without a walk.
+    without a walk.  The walk goes down left spines; a node waits on the
+    stack for its left value, then, paired with that value, for its right.
     """
-    got = memo.get(t)
-    if got is not None:
-        return got
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u in memo:
-            continue
-        if isinstance(u, Var):
-            memo[u] = leaf(u)
-            continue
-        left, right = memo.get(u.left), memo.get(u.right)
-        if left is None or right is None:
-            stack += (u, u.right, u.left)
+    stack = []
+    while True:
+        value = memo.get(t)
+        while value is None:
+            if type(t) is Var:
+                value = memo[t] = leaf(t)
+                break
+            stack.append(t)
+            t = t.left
+            value = memo.get(t)
+        while stack:
+            u = stack.pop()
+            if type(u) is tuple:
+                value = memo[u[0]] = node(u[1], value)
+            else:
+                stack.append((u, value))
+                t = u.right
+                break
         else:
-            memo[u] = node(left, right)
-    return memo[t]
+            return value
 
 
 def rename_canonical(t: Term) -> Term:

@@ -32,9 +32,11 @@ from .terms import (
     max_var_index,
     parse_term,
     positions,
+    rename_canonical,
     replace_at,
     subterm_at,
     subterm_set,
+    substitute,
     term_to_text,
     var_set,
     variables,
@@ -133,36 +135,23 @@ class Verdict:
 # --- pattern matching, substitution, unification ----------------------------
 
 
-def match_pattern(pattern: Term, term: Term, binding=None):
-    """Match pattern against term; returns {var_index: Term} or None."""
-    if binding is None:
-        binding = {}
-    if isinstance(pattern, Var):
-        bound = binding.get(pattern.index)
-        if bound is None:
-            binding[pattern.index] = term
-            return binding
-        return binding if bound == term else None
-    if not isinstance(term, Node):
-        return None
-    binding = match_pattern(pattern.left, term.left, binding)
-    if binding is None:
-        return None
-    return match_pattern(pattern.right, term.right, binding)
-
-
-def apply_binding(pattern: Term, binding) -> Term:
-    if isinstance(pattern, Var):
-        return binding[pattern.index]
-    return Node(apply_binding(pattern.left, binding), apply_binding(pattern.right, binding))
-
-
-def _occurs(i: int, t: Term, sub) -> bool:
-    if isinstance(t, Var):
-        if t.index == i:
-            return True
-        return t.index in sub and _occurs(i, sub[t.index], sub)
-    return _occurs(i, t.left, sub) or _occurs(i, t.right, sub)
+def match_pattern(pattern: Term, term: Term):
+    """Match pattern against term: {var_index: Term}, bound in the order the
+    variables occur in the pattern, or None."""
+    binding = {}
+    stack = []
+    while True:
+        if type(pattern) is Var:
+            if binding.setdefault(pattern.index, term) is not term:
+                return None
+            if not stack:
+                return binding
+            pattern, term = stack.pop()
+        elif type(term) is Node:
+            stack.append((pattern.right, term.right))
+            pattern, term = pattern.left, term.left
+        else:
+            return None
 
 
 def _walk(t: Term, sub) -> Term:
@@ -171,38 +160,32 @@ def _walk(t: Term, sub) -> Term:
     return t
 
 
-def unify(a: Term, b: Term, sub=None):
-    """Most general unifier of a and b as {var_index: Term}, or None."""
-    if sub is None:
-        sub = {}
-    a, b = _walk(a, sub), _walk(b, sub)
-    if isinstance(a, Var):
-        if isinstance(b, Var) and b.index == a.index:
-            return sub
-        if _occurs(a.index, b, sub):
-            return None
-        sub[a.index] = b
-        return sub
-    if isinstance(b, Var):
-        return unify(b, a, sub)
-    sub = unify(a.left, b.left, sub)
-    if sub is None:
-        return None
-    return unify(a.right, b.right, sub)
+def unify(a: Term, b: Term):
+    """Most general unifier of a and b as {var_index: Term}, or None; a bound
+    term may hold variables bound later (Baader & Nipkow, ch. 4)."""
+    sub = {}
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        a, b = _walk(a, sub), _walk(b, sub)
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
+        if isinstance(a, Var):
+            if a is b:
+                continue
+            if a.index in var_set(resolve(b, sub)):
+                return None  # occurs check
+            sub[a.index] = b
+        else:
+            stack += ((a.right, b.right), (a.left, b.left))
+    return sub
 
 
 def resolve(t: Term, sub) -> Term:
-    """Apply a (possibly chained) unifier substitution exhaustively."""
-    t = _walk(t, sub)
-    if isinstance(t, Var):
-        return t
-    return Node(resolve(t.left, sub), resolve(t.right, sub))
-
-
-def shift_vars(t: Term, offset: int) -> Term:
-    if isinstance(t, Var):
-        return Var(t.index + offset)
-    return Node(shift_vars(t.left, offset), shift_vars(t.right, offset))
+    """Apply a unifier in full; its chains of bindings end by the occurs check."""
+    while not sub.keys().isdisjoint(variables(t)):
+        t = substitute(t, sub)
+    return t
 
 
 # --- single-rule rewriting ---------------------------------------------------
@@ -262,7 +245,7 @@ def rewrite_nf(t: Term, lhs: Term, rhs: Term, memo=None) -> Term:
             if binding is None:
                 memo[u] = nf
             else:
-                contractum = apply_binding(rhs, binding)
+                contractum = substitute(rhs, binding)
                 if isinstance(contractum, Var):
                     memo[u] = contractum
                 else:
@@ -279,7 +262,8 @@ def critical_pair_check(rule: Identity) -> bool:
         )
     lhs, rhs = rule.lhs, rule.rhs
     offset = max_var_index(lhs, rhs)
-    lhs2, rhs2 = shift_vars(lhs, offset), shift_vars(rhs, offset)
+    shift = {i: Var(i + offset) for i in range(1, offset + 1)}
+    lhs2, rhs2 = substitute(lhs, shift), substitute(rhs, shift)
     memo = {}
     for p in positions(lhs):
         if p == ():
@@ -287,7 +271,7 @@ def critical_pair_check(rule: Identity) -> bool:
         sub = subterm_at(lhs, p)
         if isinstance(sub, Var):
             continue
-        mgu = unify(sub, lhs2, dict())
+        mgu = unify(sub, lhs2)
         if mgu is None:
             continue
         peak = resolve(lhs, mgu)
@@ -439,7 +423,7 @@ def _ground_collapse_proved(rule: Identity) -> bool:
             missing = sorted(set(dst_vars) - binding.keys())
             for combo in itertools.product(leaves, repeat=len(missing)):
                 binding.update(zip(missing, combo))
-                union(k, index[apply_binding(dst, binding)])
+                union(k, index[substitute(dst, binding)])
 
     # congruence: nodes whose children share classes share a class
     nodes = [
@@ -807,7 +791,7 @@ class AxiomsTheory(Theory):
                         b = dict(binding)
                         b.update(zip(missing, combo))
                         if dst.size + sum(b[i].size for i in dst_vars) <= room:
-                            out.append(_plug(context, apply_binding(dst, b)))
+                            out.append(_plug(context, substitute(dst, b)))
             if isinstance(sub, Node):
                 stack.append((sub.right, (sub, 2, context)))
                 stack.append((sub.left, (sub, 1, context)))
@@ -867,11 +851,10 @@ class GroupoidSingleRuleTheory(AxiomsTheory):
         self.exact = self.convergent or self.node_collapse
 
     def normal_form(self, t: Term) -> Term:
-        if not (self.convergent or rule_size_decreasing(self.rule)):
-            raise NonOrientableError(f"rewriting with {self.rule.text()} need not end")
-        # a convergent rule's normal form is its key, so it shares the key memo
-        memo = self._key_cache if self.convergent else {}
-        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, memo)
+        """The normal form of t, which is its key, so it shares the key memo."""
+        if not self.convergent:
+            raise NonOrientableError(f"rewriting with {self.rule.text()} is not convergent")
+        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, self._key_cache)
 
     def canonical_key(self, t: Term):
         if self.convergent:
@@ -892,18 +875,11 @@ def _plug(context, s: Term) -> Term:
 
 
 def _is_associativity(ax: Identity) -> bool:
-    for cand in (ax, ax.flipped()):
-        b = match_pattern(cand.lhs, ASSOC.lhs)
-        if b is None:
-            continue
-        if not all(isinstance(v, Var) for v in b.values()):
-            continue
-        if len({v.index for v in b.values()}) != len(b):
-            continue
-        remap = {k: v for k, v in b.items()}
-        if apply_binding(cand.rhs, remap) == ASSOC.rhs:
-            return True
-    return False
+    """Whether ax is associativity, either way round, up to renaming; a
+    right-side variable the left side lacks gets its own name, so
+    f(f(x4,x5),x6) = f(x4,f(x5,x3)) is not."""
+    sides = (rename_canonical(Node(ax.lhs, ax.rhs)), rename_canonical(Node(ax.rhs, ax.lhs)))
+    return Node(ASSOC.lhs, ASSOC.rhs) in sides
 
 
 # --- names and files ------------------------------------------------------------
@@ -936,19 +912,38 @@ _ORACLE_FIELDS = {
 }
 
 
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def _field(obj, key: str, kind, default=None):
+    """obj[key], or default when absent, which must be a kind (no boolean is an integer)."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object holding {key!r}, got {obj!r}")
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        got = repr(value) if key in obj else "nothing"
+        raise ParseError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {got}")
+    return value
+
+
+def _identity_from_json(obj) -> Identity:
+    return Identity(parse_term(_field(obj, "lhs", str)), parse_term(_field(obj, "rhs", str)))
+
+
 def theory_from_json(obj, max_model_size: int | None = None) -> Theory:
     """Theory from the JSON file schema: {"kind": ..., ...}.
 
     The optional "oracle" block sets bounds over OracleConfig's defaults;
-    max_model_size, when given, overrides that one bound.
+    max_model_size, when given, overrides that one bound.  A missing or
+    mistyped field raises ParseError.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    oracle = obj.get("oracle") or {}
+    oracle = _field(obj, "oracle", dict, {})
     unknown = sorted(set(oracle) - set(_ORACLE_FIELDS))
     if unknown:
         raise ParseError(f"unknown oracle bounds {unknown}; known: {sorted(_ORACLE_FIELDS)}")
-    bounds = {name: oracle[key] for key, name in _ORACLE_FIELDS.items() if key in oracle}
+    bounds = {
+        name: _field(oracle, key, int) for key, name in _ORACLE_FIELDS.items() if key in oracle
+    }
     if max_model_size is not None:
         bounds["max_model_size"] = max_model_size
     config = OracleConfig(**bounds)
@@ -958,21 +953,19 @@ def theory_from_json(obj, max_model_size: int | None = None) -> Theory:
     if kind == "commutative":
         return CommutativeTheory(config)
     if kind == "semigroup-absorption":
-        return SemigroupAbsorptionTheory(int(obj["i"]), int(obj["j"]), config)
+        return SemigroupAbsorptionTheory(_field(obj, "i", int), _field(obj, "j", int), config)
     if kind == "groupoid-single-rule":
-        rule = obj["rule"]
-        return GroupoidSingleRuleTheory(
-            Identity(parse_term(rule["lhs"]), parse_term(rule["rhs"])), config
-        )
+        return GroupoidSingleRuleTheory(_identity_from_json(_field(obj, "rule", dict)), config)
     if kind == "axioms":
-        axioms = tuple(
-            Identity(parse_term(a["lhs"]), parse_term(a["rhs"])) for a in obj["axioms"]
-        )
-        return AxiomsTheory(axioms, config)
+        axioms = _field(obj, "axioms", list)
+        return AxiomsTheory(tuple(_identity_from_json(a) for a in axioms), config)
     raise ParseError(f"unknown theory kind {kind!r}")
 
 
 def load_theory_file(path, max_model_size: int | None = None) -> Theory:
-    with open(path) as fh:
-        return theory_from_json(json.load(fh), max_model_size)
-
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
+        raise ParseError(f"cannot read theory file {path}: {exc}") from None
+    return theory_from_json(obj, max_model_size)

@@ -70,6 +70,23 @@ class TestExitCodes:
         assert code == 0, err
         assert out.startswith("Refuted")
 
+    def test_equiv_under_a_deep_rule(self, capsys):
+        # building the theory unifies, matches and rewrites with the rule's
+        # deep side; a walk that recursed once per level would run out of stack
+        depth = 300
+        lhs = "f(" * depth + "x1" + ",x2)" * depth
+        frame, frames = sys._getframe(), 0
+        while frame is not None:
+            frame, frames = frame.f_back, frames + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 100)
+        try:
+            code, out, err = invoke(capsys, "equiv", "--theory", f"grp-rule:{lhs}=x1", lhs, "x1")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, err
+        assert out.startswith("Proved")
+
     def test_reader_closing_the_pipe_early_ends_quietly(self):
         depth = 3000  # the dot text is larger than a pipe buffer
         chain = "f(" * depth + "x1" + ",x2)" * depth
@@ -422,6 +439,28 @@ class TestBounds:
         code, out, err = invoke(capsys, "equiv", "--theory-file", str(path), "x1", "x1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "semigroup-absorption"}',
+            '{"kind": "semigroup-absorption", "i": "x", "j": 1}',
+            '{"kind": "semigroup-absorption", "i": true, "j": 1}',
+            '{"kind": "groupoid-single-rule"}',
+            '{"kind": "axioms", "axioms": [{"lhs": "x1"}]}',
+            '{"kind": "commutative", "oracle": {"maxModelSize": "2"}}',
+            "[1]",
+            "not json",
+            None,  # no file
+        ],
+    )
+    def test_malformed_theory_file(self, capsys, tmp_path, text):
+        path = tmp_path / "theory.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = invoke(capsys, "equiv", "--theory-file", str(path), "x1", "x1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_max_model_size_zero_with_a_theory_file(self, capsys, tmp_path):
         path = tmp_path / "theory.json"

@@ -40,6 +40,15 @@ class TestInductive:
         out = inductive_compose(t, [(R, parse_term("f(x9,f(x1,x2))"))])
         assert out == parse_term("f(f(x9,f(x1,x2)),x3)")
 
+    def test_deep_chain(self):
+        depth = 3000
+        t = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+        out = inductive_compose(t, [(R, Var(3))])
+        assert out is parse_term("f(" * (depth - 1) + "x3" + ",x2)" * (depth - 1))
+        assert inductive_compose(t, [(Var(2), R)]) is parse_term(
+            "f(" * depth + "x1" + ",f(x1,x2))" * depth
+        )
+
     def test_nested_patterns_rejected(self):
         with pytest.raises(NestedPatternsError):
             inductive_compose(R, [(R, Var(3)), (Var(1), Var(4))])

@@ -1,6 +1,8 @@
 """Term core: positions, orders, valuations, arrays, text syntax, enumeration."""
 
+import ast
 import gc
+import pathlib
 import weakref
 
 import pytest
@@ -155,6 +157,33 @@ class TestDeepTerms:
         square = Node(t, t)
         assert fold_term(square, lambda x: x.index, node, memo) == 2 + 4 * self.DEPTH
         assert len(calls) == self.DEPTH + 1
+
+
+# the functions of src/termalg that may still call themselves, and why
+RECURSIVE = {
+    "reducible_pairs": "once per nested redex; an iterative version adds code",
+    "removable_positions": "once per removable sibling; an iterative version adds code",
+    "random_term": "its depth is its own argument, and no CLI path reaches it",
+}
+
+
+def test_no_other_function_calls_itself():
+    found = set()
+    for path in pathlib.Path(terms.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(fn):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                        isinstance(f, ast.Attribute)
+                        and f.attr == fn.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "self"
+                    ):
+                        found.add(fn.name)
+    assert found == set(RECURSIVE)
 
 
 class TestPositions:

@@ -14,7 +14,7 @@ from termalg.errors import (
     ParseError,
     TermAlgError,
 )
-from termalg.terms import Node, Var, enumerate_terms, parse_term, random_term
+from termalg.terms import Node, Var, enumerate_terms, parse_term, random_term, substitute
 from termalg.theories import (
     AxiomsTheory,
     CounterModel,
@@ -26,12 +26,15 @@ from termalg.theories import (
     OracleConfig,
     _sorts_before,
     _two_letter_patterns,
-    apply_binding,
+    load_theory_file,
     match_pattern,
+    resolve,
     rewrite_nf,
+    rule_size_decreasing,
     term_sort_key,
     theory_from_json,
     theory_from_name,
+    unify,
 )
 
 from conftest import shared_theory
@@ -136,7 +139,7 @@ class TestExactDeciders:
                 return t
             u = Node(reference(t.left, lhs, rhs), reference(t.right, lhs, rhs))
             binding = match_pattern(lhs, u)
-            return u if binding is None else reference(apply_binding(rhs, binding), lhs, rhs)
+            return u if binding is None else reference(substitute(rhs, binding), lhs, rhs)
 
         rng = random.Random(11)
         terms = [random_term(rng, 6, 4) for _ in range(300)]
@@ -166,6 +169,15 @@ class TestExactDeciders:
         with pytest.raises(NonOrientableError):
             thy.normal_form(parse_term("f(x1,x2)"))
 
+    def test_single_rule_normal_form_refuses_a_rule_that_is_not_confluent(self):
+        # rewriting ends, but two strategies may end at different terms
+        rule = Identity.parse("f(f(x1,x2),x1)=f(x1,x1)")
+        assert rule_size_decreasing(rule)
+        thy = GroupoidSingleRuleTheory(rule)
+        assert not thy.convergent
+        with pytest.raises(NonOrientableError):
+            thy.normal_form(parse_term("f(f(x1,x2),x1)"))
+
     def test_equivalence_relation_sample(self, idempotent):
         terms = list(enumerate_terms(2, 2))
         for t in terms:
@@ -179,6 +191,135 @@ class TestExactDeciders:
 
         assert idempotent.equal(Node(t, Var(2)), Node(s, Var(2))) is True
         assert idempotent.equal(Node(Var(2), t), Node(Var(2), s)) is True
+
+
+def ref_match(pattern, term, binding):
+    if isinstance(pattern, Var):
+        bound = binding.setdefault(pattern.index, term)
+        return binding if bound is term else None
+    if not isinstance(term, Node):
+        return None
+    binding = ref_match(pattern.left, term.left, binding)
+    return None if binding is None else ref_match(pattern.right, term.right, binding)
+
+
+def ref_substitute(t, mapping):
+    if isinstance(t, Var):
+        return mapping.get(t.index, t)
+    return Node(ref_substitute(t.left, mapping), ref_substitute(t.right, mapping))
+
+
+def ref_walk(t, sub):
+    while isinstance(t, Var) and t.index in sub:
+        t = sub[t.index]
+    return t
+
+
+def ref_resolve(t, sub):
+    t = ref_walk(t, sub)
+    if isinstance(t, Var):
+        return t
+    return Node(ref_resolve(t.left, sub), ref_resolve(t.right, sub))
+
+
+def ref_occurs(i, t, sub):
+    t = ref_walk(t, sub)
+    if isinstance(t, Var):
+        return t.index == i
+    return ref_occurs(i, t.left, sub) or ref_occurs(i, t.right, sub)
+
+
+def ref_unify(a, b, sub):
+    a, b = ref_walk(a, sub), ref_walk(b, sub)
+    if isinstance(a, Var):
+        if a is b:
+            return sub
+        if ref_occurs(a.index, b, sub):
+            return None
+        sub[a.index] = b
+        return sub
+    if isinstance(b, Var):
+        return ref_unify(b, a, sub)
+    sub = ref_unify(a.left, b.left, sub)
+    return None if sub is None else ref_unify(a.right, b.right, sub)
+
+
+def left_chain(depth, bottom, right):
+    return parse_term("f(" * depth + bottom + f",{right})" * depth)
+
+
+class TestTermWalkers:
+    """The iterative walkers against recursive references kept here."""
+
+    def test_match_pattern_binds_like_the_reference(self):
+        rng = random.Random(5)
+        matched = 0
+        for _ in range(400):
+            pattern = random_term(rng, 3, 3)
+            if rng.random() < 0.5:
+                term = random_term(rng, 5, 3)
+            else:  # an instance, so that matches succeed as well as fail
+                term = ref_substitute(pattern, {i: random_term(rng, 2, 3) for i in (1, 2, 3)})
+            got, want = match_pattern(pattern, term), ref_match(pattern, term, {})
+            # the same bindings, bound in the same order
+            assert (got is None, got and list(got.items())) == (
+                want is None,
+                want and list(want.items()),
+            )
+            matched += got is not None
+        assert 100 < matched < 400
+
+    def test_substitute_matches_the_reference(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            t = random_term(rng, 5, 4)
+            mapping = {i: random_term(rng, 2, 4) for i in range(1, 5) if rng.random() < 0.6}
+            assert substitute(t, mapping) is ref_substitute(t, mapping)
+
+    def test_unify_and_resolve_match_the_reference(self):
+        rng = random.Random(7)
+        unified = failed = 0
+        for _ in range(400):
+            a = random_term(rng, 3, 3)
+            # mostly apart from a's variables, as in a critical pair, sometimes shared
+            shift = rng.choice((0, 1, 3))
+            b = ref_substitute(random_term(rng, 3, 3), {i: Var(i + shift) for i in (1, 2, 3)})
+            got, want = unify(a, b), ref_unify(a, b, {})
+            if want is None:
+                assert got is None
+                failed += 1
+                continue
+            assert list(got.items()) == list(want.items())
+            assert resolve(a, got) is resolve(b, got) is ref_resolve(a, want)
+            unified += 1
+        assert unified > 100 and failed > 10
+
+    def test_unify_fails_on_a_cycle(self):
+        # with one binary symbol every failure is an occurs-check failure;
+        # here the cycle only shows through a chain of bindings
+        a, b = parse_term("f(x1,x1)"), parse_term("f(x2,f(x2,x3))")
+        assert unify(a, b) is None and ref_unify(a, b, {}) is None
+
+    def test_unify_fails_the_occurs_check(self):
+        assert unify(Var(1), parse_term("f(x2,x1)")) is None
+        assert unify(parse_term("f(x2,x1)"), Var(1)) is None
+
+    def test_deep_terms(self):
+        depth = 3000
+        chain = left_chain(depth, "x1", "x2")
+        assert substitute(chain, {2: Var(3)}) is left_chain(depth, "x1", "x3")
+        pair = parse_term("f(x4,x5)")
+        binding = match_pattern(chain, left_chain(depth, "f(x4,x5)", "x2"))
+        assert binding == {1: pair, 2: Var(2)}
+        assert match_pattern(chain, left_chain(depth, "x1", "x3")) == {1: Var(1), 2: Var(3)}
+        assert match_pattern(chain, left_chain(depth - 1, "x1", "x2")) is None
+        other = left_chain(depth, "x3", "x4")
+        mgu = unify(chain, other)
+        assert resolve(chain, mgu) is resolve(other, mgu)
+        # x2 is bound to x1, which is bound to the whole chain
+        mgu = unify(parse_term("f(x1,x2)"), Node(other, Var(1)))
+        assert resolve(Var(2), mgu) is other
+        assert unify(Var(3), other) is None
 
 
 class TestSemigroupAbsorption:
@@ -281,6 +422,31 @@ class TestBoundedOracle:
         assert assoc.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is False
 
 
+class TestAssociativityLookAlikes:
+    """Each axiom has a right-side variable its left side leaves unbound, so
+    neither is associativity; each proves f(x1,f(x2,x3)) = f(x1,f(x2,x4))
+    in two steps."""
+
+    @pytest.mark.parametrize("form", ["axioms file", "grp-rule name"])
+    @pytest.mark.parametrize(
+        "axiom", ["f(f(x4,x5),x6)=f(x4,f(x5,x3))", "f(f(x1,x2),x3)=f(x1,f(x2,x4))"]
+    )
+    def test_is_not_exact_and_proves(self, tmp_path, form, axiom):
+        if form == "axioms file":
+            lhs, rhs = axiom.split("=")
+            path = tmp_path / "theory.json"
+            path.write_text(json.dumps({"kind": "axioms", "axioms": [{"lhs": lhs, "rhs": rhs}]}))
+            thy = load_theory_file(path)
+        else:
+            thy = theory_from_name("grp-rule:" + axiom)
+        assert not thy.exact
+        verdict = thy.decide(parse_term("f(x1,f(x2,x3))"), parse_term("f(x1,f(x2,x4))"))
+        assert verdict.proved
+        assert verdict.certificate.method == "rewrite-path"
+        steps = verdict.certificate.steps
+        assert (steps[0], steps[-1]) == ("f(x1,f(x2,x3))", "f(x1,f(x2,x4))")
+
+
 class TestCertificates:
     def test_proved_derivation(self, idempotent):
         verdict = idempotent.decide(parse_term("f(x1,x1)"), Var(1))
@@ -314,8 +480,6 @@ class TestNamesAndFiles:
             theory_from_name("boolean")
 
     def test_from_json_round_trip(self, tmp_path):
-        from termalg.theories import load_theory_file
-
         doc = {
             "kind": "groupoid-single-rule",
             "rule": {"lhs": "f(f(x1,x2),x3)", "rhs": "f(x2,x3)"},
@@ -328,8 +492,6 @@ class TestNamesAndFiles:
         assert thy.equal(parse_term("f(f(x1,x2),x3)"), parse_term("f(x2,x3)")) is True
 
     def test_model_size_override_keeps_the_files_other_bounds(self, tmp_path):
-        from termalg.theories import load_theory_file
-
         path = tmp_path / "thy.json"
         path.write_text(json.dumps({"kind": "commutative", "oracle": {"maxDeductionSteps": 1}}))
         assert load_theory_file(path).config == OracleConfig(max_deduction_steps=1)
@@ -341,6 +503,10 @@ class TestNamesAndFiles:
             {"kind": "axioms", "axioms": [{"lhs": "f(x1,x2)", "rhs": "f(x2,x1)"}]}
         )
         assert thy.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is True
+
+    def test_empty_axiom_list_is_the_free_groupoid(self):
+        thy = theory_from_json({"kind": "axioms", "axioms": []})
+        assert thy.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is False
 
     def test_model_size_zero_is_rejected_not_defaulted(self):
         with pytest.raises(BoundsError):
