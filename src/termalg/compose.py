@@ -16,6 +16,7 @@ rewritten in one pass; nothing cascades.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import IncomparablePositionsError, NestedPatternsError
@@ -100,36 +101,59 @@ class SigmaPositionSets:
     essential_minimal: frozenset
 
 
-def _prefix_minimal(ps) -> frozenset:
-    return frozenset(
-        p for p in ps if not any(q != p and prefix_leq(q, p) for q in ps)
-    )
+def _prefix_minimal(ps) -> list:
+    """The prefix-minimal members of ps, sorted.
+
+    In sorted (left-first preorder) order the positions below a kept one
+    follow it as one block, so a position is dropped exactly when it
+    extends the last one kept.
+    """
+    kept = []
+    for p in sorted(ps):
+        if not kept or not prefix_leq(kept[-1], p):
+            kept.append(p)
+    return kept
 
 
 def sigma_match_positions(t: Term, r: Term, theory: Theory) -> frozenset:
-    """All positions of subterms of t the theory proves equal to r."""
+    """All positions of subterms of t the theory proves equal to r.
+
+    An exact theory compares keys: it reads t's key vector against key(r).
+    """
+    if theory.exact:
+        key = theory._cached_key(r)
+        return frozenset(p for p, k in zip(positions(t), theory.key_vector(t)) if k == key)
     return frozenset(p for p in positions(t) if theory.holds(subterm_at(t, p), r))
 
 
-def sigma_position_sets(t: Term, r: Term, theory: Theory) -> SigmaPositionSets:
+def _subtree_positions(t: Term, p) -> tuple:
+    """The positions of t at or below p: a slice, 2*Siz + 1 long, of positions(t)."""
     pos = positions(t)
+    i = bisect_left(pos, p)
+    return pos[i : i + 2 * subterm_at(t, p).size + 1]
+
+
+def sigma_position_sets(t: Term, r: Term, theory: Theory) -> SigmaPositionSets:
     matches = sigma_match_positions(t, r, theory)
 
     essential = decided_report(t, theory).essential_positions
     minimal = _prefix_minimal(matches)
     essential_minimal = frozenset(
-        p for p in minimal if all(q in essential for q in pos if prefix_leq(p, q))
+        p for p in minimal if essential.issuperset(_subtree_positions(t, p))
     )
-    return SigmaPositionSets(frozenset(matches), minimal, essential_minimal)
+    return SigmaPositionSets(matches, frozenset(minimal), essential_minimal)
+
+
+def _replace_each(t: Term, entries, u: Term) -> Term:
+    """t with u at each of the pairwise incomparable positions entries."""
+    for p in entries:
+        t = replace_at(t, p, u)
+    return t
 
 
 def sigma_compose(t: Term, r: Term, u: Term, theory: Theory) -> Term:
     """Replace u at the prefix-minimal positions of subterms equal to r."""
-    minimal = _prefix_minimal(sigma_match_positions(t, r, theory))
-    if not minimal:
-        return t
-    entries = sorted(minimal)
-    return positional_compose(t, entries, [u] * len(entries))
+    return _replace_each(t, _prefix_minimal(sigma_match_positions(t, r, theory)), u)
 
 
 def star_compose(t: Term, r: Term, s: Term, theory: Theory) -> Term:
@@ -143,8 +167,4 @@ def star_compose(t: Term, r: Term, s: Term, theory: Theory) -> Term:
     """
     if theory.holds(t, r):
         return s
-    sets = sigma_position_sets(t, r, theory)
-    if not sets.essential_minimal:
-        return t
-    entries = sorted(sets.essential_minimal)
-    return positional_compose(t, entries, [s] * len(entries))
+    return _replace_each(t, sigma_position_sets(t, r, theory).essential_minimal, s)

@@ -28,6 +28,7 @@ from .terms import (
     Var,
     enumerate_terms,
     max_var_index,
+    positions,
     replace_at,
     subterm_at,
     subterm_set,
@@ -399,12 +400,14 @@ def _sweep_exact(theory, mode, bounds, report, u):
         rep_for_class = {}
         classes_of = {}
         for t in members:
+            essential = essential_positions(t, theory)
             keys = set()
-            for p in essential_positions(t, theory):
-                sub = subterm_at(t, p)
-                sub_key = theory._cached_key(sub)
+            for p, sub_key in zip(positions(t), theory.key_vector(t)):
+                if p not in essential:
+                    continue
                 keys.add(sub_key)
                 prior = rep_for_class.get(sub_key)
+                sub = subterm_at(t, p)  # only to pick the class representative
                 if prior is None or term_sort_key(sub) < term_sort_key(prior):
                     rep_for_class[sub_key] = sub
             classes_of[t] = keys

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .errors import NotReducibleError, NotRemovableError
 from .essentiality import decided_report
 from .terms import (
+    Node,
     Position,
     Term,
     position_to_text,
@@ -83,17 +84,66 @@ def reducible_pairs(t: Term, theory: Theory) -> frozenset:
     if got is not None:
         return got
 
+    pairs = _outermost_pairs_by_key(t, theory) if theory.exact else _outermost_pairs(t, theory)
+
+    # nested clause: compose through the tail subterm of every pair
+    queue = list(pairs)
+    while queue:
+        pair = queue.pop()
+        for inner in reducible_pairs(subterm_at(t, pair.q), theory):
+            composed = ReduciblePair(pair.q + inner.p, pair.q + inner.q)
+            if composed not in pairs:
+                pairs.add(composed)
+                queue.append(composed)
+
+    result = frozenset(pairs)
+    cache[t] = result
+    return result
+
+
+def _subtree_ends(t: Term) -> list:
+    """For the i-th position of t in positions(t) order, the index just past
+    its subtree: i + 2*Siz + 1, since a subtree is one block of that order."""
+    ends = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        ends.append(len(ends) + 2 * u.size + 1)
+        if type(u) is Node:
+            stack += (u.right, u.left)
+    return ends
+
+
+def _outermost_pairs_by_key(t: Term, theory: Theory) -> set:
+    """The outermost heads of t with their maximal tails, read off the key
+    vector of an exact theory as index ranges."""
+    keys = theory.key_vector(t)
+    ends = _subtree_ends(t)
     pos = positions(t)
-    if theory.exact:
-        key = {p: theory._cached_key(subterm_at(t, p)) for p in pos}
+    pairs = set()
+    i = 0
+    while i < len(keys):
+        key, end = keys[i], ends[i]
+        if key not in keys[i + 1 : end]:
+            i += 1
+            continue
+        # an outermost head, since no position above it was one; a tail is
+        # maximal when the next equal position is not below it
+        tails = [j for j in range(i + 1, end) if keys[j] == key]
+        for j, after in zip(tails, tails[1:] + [end]):
+            if after >= ends[j]:
+                pairs.add(ReduciblePair(pos[i], pos[j]))
+        i = end  # the positions below a head are no outermost heads
+    return pairs
 
-        def eq(a, b):
-            return key[a] == key[b]
 
-    else:
+def _outermost_pairs(t: Term, theory: Theory) -> set:
+    """The outermost heads of t with their maximal tails, asking the oracle
+    about every nested pair of positions."""
+    pos = positions(t)
 
-        def eq(a, b):
-            return theory.holds(subterm_at(t, a), subterm_at(t, b))
+    def eq(a, b):
+        return theory.holds(subterm_at(t, a), subterm_at(t, b))
 
     heads = set()
     for p in pos:
@@ -109,20 +159,7 @@ def reducible_pairs(t: Term, theory: Theory) -> frozenset:
             if any(proper_prefix(q, q2) and eq(q2, p) for q2 in pos):
                 continue  # tail not maximal
             pairs.add(ReduciblePair(p, q))
-
-    # nested clause: compose through the tail subterm of every pair
-    queue = list(pairs)
-    while queue:
-        pair = queue.pop()
-        for inner in reducible_pairs(subterm_at(t, pair.q), theory):
-            composed = ReduciblePair(pair.q + inner.p, pair.q + inner.q)
-            if composed not in pairs:
-                pairs.add(composed)
-                queue.append(composed)
-
-    result = frozenset(pairs)
-    cache[t] = result
-    return result
+    return pairs
 
 
 def removable_positions(t: Term, theory: Theory) -> frozenset:

@@ -463,6 +463,7 @@ class Theory:
         # every memo kept for this theory, by this class and by the modules
         # built on it (essentiality, reduction); none attaches its own
         self._key_cache = {}  # term -> canonical key; the normal form's memo
+        self._key_vectors = {}  # t -> key_vector(t), exact theories only
         self._equal_cache = {}  # (t, s) -> (bounded answer, proof path)
         self._refute_cache = {}  # (t, s) -> (counter-model or None,)
         self._models_by_size = {}  # size -> ModelStack of all models
@@ -512,6 +513,27 @@ class Theory:
             key = self.canonical_key(t)
             self._key_cache[t] = key
         return key
+
+    def key_vector(self, t: Term) -> tuple:
+        """The canonical keys of t's subterms, in positions(t) order (exact
+        theories only).
+
+        In that left-first preorder the subtree of the i-th position holds
+        the positions i .. i + 2*Siz + 1 (excluded) of its subterm, so a
+        prefix test becomes an index range.
+        """
+        got = self._key_vectors.get(t)
+        if got is None:
+            key = self._cached_key
+            out = []
+            stack = [t]
+            while stack:
+                u = stack.pop()
+                out.append(key(u))
+                if type(u) is Node:
+                    stack += (u.right, u.left)
+            got = self._key_vectors[t] = tuple(out)
+        return got
 
     def _equal_bounded(self, t, s):
         raise NotImplementedError

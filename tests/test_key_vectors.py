@@ -1,0 +1,238 @@
+"""Key vectors: each term's subterm keys in position order, and the readers
+that answer from them under an exact theory (Σ-composition, star
+composition, reducible pairs), against the per-position references kept
+here."""
+
+import random
+
+import pytest
+
+from termalg.compose import (
+    positional_compose,
+    sigma_compose,
+    sigma_match_positions,
+    sigma_position_sets,
+    star_compose,
+)
+from termalg.essentiality import decided_report
+from termalg.reduction import ReduciblePair, reducible_pairs
+from termalg.terms import (
+    Var,
+    parse_term,
+    positions,
+    prefix_leq,
+    proper_prefix,
+    random_term,
+    subterm_at,
+)
+from termalg.theories import AxiomsTheory, Identity, OracleConfig
+
+from conftest import shared_theory
+
+EXACT_THEORIES = (
+    "idempotent",
+    "commutative",
+    "assoc",
+    *(f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
+    "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",  # Σ2
+    "grp-rule:f(x1,f(x2,x3))=f(x1,x3)",  # convergent
+    "grp-rule:f(f(x1,x2),x3)=f(x2,x1)",  # node-collapse
+)
+
+# equal terms have equal Len here, so no term has a reducible pair
+LENGTH_PRESERVING = ("commutative", "assoc")
+
+U = Var(5)
+
+
+def seeded_terms(seed, count):
+    """Random terms of depth <= 5, so Len <= 32, over at most 4 variables."""
+    rng = random.Random(seed)
+    return [random_term(rng, 5, rng.randint(1, 4), leaf_prob=0.15) for _ in range(count)]
+
+
+# --- references: one oracle question per position or per pair ---------------
+
+
+def ref_match_positions(t, r, theory):
+    return frozenset(p for p in positions(t) if theory.holds(subterm_at(t, p), r))
+
+
+def ref_prefix_minimal(ps):
+    return frozenset(p for p in ps if not any(q != p and prefix_leq(q, p) for q in ps))
+
+
+def ref_position_sets(t, r, theory):
+    pos = positions(t)
+    matches = ref_match_positions(t, r, theory)
+    essential = decided_report(t, theory).essential_positions
+    minimal = ref_prefix_minimal(matches)
+    essential_minimal = frozenset(
+        p for p in minimal if all(q in essential for q in pos if prefix_leq(p, q))
+    )
+    return matches, minimal, essential_minimal
+
+
+def ref_sigma_compose(t, r, u, theory):
+    entries = sorted(ref_prefix_minimal(ref_match_positions(t, r, theory)))
+    return positional_compose(t, entries, [u] * len(entries))
+
+
+def ref_star_compose(t, r, s, theory):
+    if theory.holds(t, r):
+        return s
+    entries = sorted(ref_position_sets(t, r, theory)[2])
+    return positional_compose(t, entries, [s] * len(entries))
+
+
+def ref_reducible_pairs(t, theory, inner_pairs=None):
+    """One question per nested pair of positions; inner_pairs gives the
+    pairs of a tail subterm, by default this function."""
+    pos = positions(t)
+    if theory.exact:
+        key = {p: theory._cached_key(subterm_at(t, p)) for p in pos}
+
+        def eq(a, b):
+            return key[a] == key[b]
+
+    else:
+
+        def eq(a, b):
+            return theory.holds(subterm_at(t, a), subterm_at(t, b))
+
+    heads = {p for p in pos if any(proper_prefix(p, q) and eq(p, q) for q in pos)}
+    minimal_heads = {p for p in heads if not any(proper_prefix(h, p) for h in heads)}
+    pairs = set()
+    for p in minimal_heads:
+        for q in pos:
+            if not proper_prefix(p, q) or not eq(p, q):
+                continue
+            if any(proper_prefix(q, q2) and eq(q2, p) for q2 in pos):
+                continue
+            pairs.add(ReduciblePair(p, q))
+    queue = list(pairs)
+    while queue:
+        pair = queue.pop()
+        for inner in (inner_pairs or ref_reducible_pairs)(subterm_at(t, pair.q), theory):
+            composed = ReduciblePair(pair.q + inner.p, pair.q + inner.q)
+            if composed not in pairs:
+                pairs.add(composed)
+                queue.append(composed)
+    return frozenset(pairs)
+
+
+# --- the vector itself ----------------------------------------------------------
+
+
+class TestKeyVector:
+    @pytest.mark.parametrize("name", EXACT_THEORIES)
+    def test_keys_of_the_subterms_in_position_order(self, name):
+        thy = shared_theory(name)
+        for t in seeded_terms(11, 30):
+            got = thy.key_vector(t)
+            assert len(got) == len(positions(t))
+            assert got == tuple(thy._cached_key(subterm_at(t, p)) for p in positions(t))
+
+    def test_served_from_the_memo(self):
+        thy = shared_theory("commutative")
+        t = parse_term("f(f(x2,x1),f(x1,x3))")
+        first = thy.key_vector(t)
+        assert thy._key_vectors[t] is first
+        assert thy.key_vector(t) is first
+
+    def test_deep_chain(self):
+        thy = shared_theory("grp-rule:f(f(x1,x2),x3)=f(x2,x3)")
+        depth = 3000
+        chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+        keys = thy.key_vector(chain)
+        assert len(keys) == 2 * depth + 1
+        # the left spine comes first, then the leaves: x1, then every x2
+        assert keys[0] is keys[depth - 2] is parse_term("f(x2,x2)")
+        assert keys[depth - 1] is parse_term("f(x1,x2)")
+        assert keys[depth] is Var(1) and set(keys[depth + 1 :]) == {Var(2)}
+
+
+# --- the readers against their references ------------------------------------------
+
+
+@pytest.mark.parametrize("name", EXACT_THEORIES)
+class TestReadersMatchTheReferences:
+    def test_reducible_pairs(self, name):
+        thy = shared_theory(name)
+        nonempty = 0
+        for t in seeded_terms(21, 80):
+            got = reducible_pairs(t, thy)
+            assert got == ref_reducible_pairs(t, thy), t
+            nonempty += bool(got)
+        assert (nonempty > 0) == (name not in LENGTH_PRESERVING)
+
+    def test_match_positions_and_position_sets(self, name):
+        thy = shared_theory(name)
+        rng = random.Random(22)
+        matched = 0
+        for t in seeded_terms(23, 60):
+            # a subterm of t as the pattern, so that matches are the rule
+            r = subterm_at(t, rng.choice(positions(t)))
+            sets = sigma_position_sets(t, r, thy)
+            assert sigma_match_positions(t, r, thy) == sets.all_matches
+            assert (sets.all_matches, sets.minimal, sets.essential_minimal) == ref_position_sets(
+                t, r, thy
+            ), (t, r)
+            matched += len(sets.all_matches) > 1
+        assert matched > 0
+
+    def test_sigma_and_star_compose(self, name):
+        thy = shared_theory(name)
+        rng = random.Random(24)
+        for t in seeded_terms(25, 60):
+            r = subterm_at(t, rng.choice(positions(t)))
+            assert sigma_compose(t, r, U, thy) is ref_sigma_compose(t, r, U, thy), (t, r)
+            assert star_compose(t, r, U, thy) is ref_star_compose(t, r, U, thy), (t, r)
+
+
+# --- bounded theories keep asking the oracle, in the same order -----------------
+
+
+BOUNDED_AXIOMS = ("f(x1,x1)=x1", "f(f(x1,x2),x1)=f(x1,x1)")
+
+
+def questions(theory, call):
+    """The holds questions call asks, in order, and its result."""
+    asked = []
+    holds = theory.holds
+
+    def recording(a, b):
+        asked.append((a, b))
+        return holds(a, b)
+
+    theory.holds = recording
+    try:
+        return asked, call()
+    finally:
+        del theory.holds
+
+
+@pytest.mark.parametrize("axiom", BOUNDED_AXIOMS)
+def test_bounded_theories_ask_the_same_questions(axiom):
+    rng = random.Random(26)
+    calls = {
+        "sigma_match_positions": (sigma_match_positions, ref_match_positions),
+        "reducible_pairs": (
+            lambda t, r, thy: reducible_pairs(t, thy),
+            lambda t, r, thy: ref_reducible_pairs(t, thy, reducible_pairs),
+        ),
+    }
+    asked = 0
+    for _ in range(25):
+        t = random_term(rng, 3, 2)
+        r = subterm_at(t, rng.choice(positions(t)))
+        for name, (call, ref) in calls.items():
+            # a fresh theory per side, so that both start from empty memos
+            a, b = (
+                AxiomsTheory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
+                for _ in range(2)
+            )
+            got = questions(a, lambda: call(t, r, a))
+            assert got == questions(b, lambda: ref(t, r, b)), (name, t, r)
+            asked += len(got[0])
+    assert asked > 100
