@@ -254,14 +254,19 @@ def fresh_var_index(*terms: Term) -> int:
 
 
 def subterm_set(t: Term):
-    """Sub(t): the set of distinct subterms of t."""
+    """Sub(t): the set of distinct subterms of t.
+
+    The set iterates in the order its hash table gives, not in insertion
+    order.  That order is the same in every run, because term hashes are
+    structural and the insertions below follow t's left-first preorder.
+    """
     out = set()
     stack = [t]
     while stack:
         u = stack.pop()
         if u in out:
             continue
-        out.add(u)  # left-first preorder, the insertion order callers see
+        out.add(u)
         if isinstance(u, Node):
             stack.append(u.right)
             stack.append(u.left)

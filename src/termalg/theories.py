@@ -494,9 +494,10 @@ class Theory:
         got = self._equal_cache.get((t, s))
         if got is not None:
             return got[0]
-        answer, _payload = self._equal_bounded(t, s)
-        self._equal_cache[(t, s)] = (answer, _payload)
-        self._equal_cache[(s, t)] = (answer, _payload)
+        answer, path = self._equal_bounded(t, s)
+        self._equal_cache[(t, s)] = (answer, path)
+        # the proof of s = t walks the same path backwards
+        self._equal_cache[(s, t)] = (answer, None if path is None else path[::-1])
         return answer
 
     def holds(self, t: Term, s: Term) -> bool:
@@ -766,6 +767,12 @@ class AxiomsTheory(Theory):
         super().__init__(config)
         self._assoc_only = len(axioms) == 1 and _is_associativity(axioms[0])
         self.exact = self._assoc_only
+        # each axiom as two rewrite rules over flat codes, for _neighbors
+        self._rules = tuple(
+            _flat_rule(src, dst)
+            for ax in axioms
+            for src, dst in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs))
+        )
 
     @property
     def axioms(self):
@@ -784,50 +791,80 @@ class AxiomsTheory(Theory):
             return True, path
         return None, None
 
-    def _neighbors(self, t: Term):
+    def _neighbors(self, code):
+        """Every term one axiom replacement away from the term with this flat
+        code, as codes, in order: positions left-first, then axioms, each
+        left-to-right before right-to-left, then pool combinations.
+
+        A right-side variable the left side lacks takes each value of the
+        pool: up to three of the term's variables and one fresh one, then
+        its three smallest composite subterms.  Among subterms of one size
+        the pool keeps subterm_set's iteration order, which follows the
+        structural term hashes, so it is the same in every run; the bounded
+        search's Unknowns depend on it.  Results larger than
+        max_deduction_term_size are dropped.
+        """
         out = []
-        cap = self.config.max_deduction_term_size
-        pool = [Var(i) for i in sorted(var_set(t))[:3] + [fresh_var_index(t)]]
-        # axioms with free right-side variables may need whole subterms
-        # plugged in, not just variables
-        pool += sorted(
-            (u for u in subterm_set(t) if isinstance(u, Node)),
-            key=lambda u: u.size,
-        )[:3]
-        # subterms in position order (left-first preorder), each with its
-        # context: (parent, side, the parent's context), None at the root
-        stack = [(t, None)]
-        while stack:
-            sub, context = stack.pop()
-            # the largest replacement that keeps the result within the cap;
-            # an instance of dst has Siz(dst) plus the sizes its variables bind
-            room = cap - t.size + sub.size
-            for ax in self._axioms:
-                for src, dst in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)):
-                    binding = match_pattern(src, sub)
-                    if binding is None:
-                        continue
-                    dst_vars = variables(dst)
-                    missing = sorted(set(dst_vars) - binding.keys())
-                    for combo in itertools.product(pool, repeat=len(missing)):
+        end = _extents(code)
+        n = len(code)
+        # the largest replacement that keeps the result within the cap is
+        # room = cap - Siz(term) + Siz(subterm); Siz of a code is (len - 1) / 2
+        room0 = self.config.max_deduction_term_size - (n - 1 >> 1)
+        pool = None
+        for k in range(n):
+            e = end[k]
+            room = room0 + (e - k - 1 >> 1)
+            for src, template, dst_vars, dst_size, missing in self._rules:
+                # match src against the subterm at k, binding slices
+                binding = {}
+                i = k
+                for p in src:
+                    if p:
+                        j = end[i]
+                        piece = code[i:j]
+                        if binding.setdefault(p, piece) != piece:
+                            break
+                        i = j
+                    elif code[i]:
+                        break
+                    else:
+                        i += 1
+                else:
+                    if missing:
+                        if pool is None:
+                            pool = _replacement_pool(code)
+                        combos = itertools.product(pool, repeat=len(missing))
+                    else:
+                        combos = ((),)
+                    for combo in combos:
                         b = dict(binding)
                         b.update(zip(missing, combo))
-                        if dst.size + sum(b[i].size for i in dst_vars) <= room:
-                            out.append(_plug(context, substitute(dst, b)))
-            if isinstance(sub, Node):
-                stack.append((sub.right, (sub, 2, context)))
-                stack.append((sub.left, (sub, 1, context)))
+                        size = dst_size
+                        for v in dst_vars:
+                            size += len(b[v]) - 1 >> 1
+                        if size <= room:
+                            inst = code[:k]
+                            for piece in template:
+                                inst += b[piece] if type(piece) is int else piece
+                            out.append(inst + code[e:])
         return out
 
     def _bfs_prove(self, t, s):
-        """Bidirectional bounded search over single axiom replacements."""
+        """Bidirectional bounded search over single axiom replacements: a
+        rewrite path from t to s, or None.
+
+        The search runs on flat codes and rebuilds terms only for the path
+        it returns.  A budget of max_deduction_steps = k expands at most
+        k - 1 terms: the k-th step ends the search before its expansion, so
+        a budget of 1 proves nothing but t = t.
+        """
         if t == s:
             return (t,)
         steps = 0
         limit = self.config.max_deduction_steps
-        side_a = {t: (t,)}
-        side_b = {s: (s,)}
-        frontier_a, frontier_b = deque([t]), deque([s])
+        a, b = _flat_code(t), _flat_code(s)
+        side_a, side_b = {a: (a,)}, {b: (b,)}
+        frontier_a, frontier_b = deque([a]), deque([b])
         while frontier_a and frontier_b and steps < limit:
             # expand the smaller frontier
             if len(frontier_a) <= len(frontier_b):
@@ -844,9 +881,8 @@ class AxiomsTheory(Theory):
                         continue
                     seen[n] = seen[u] + (n,)
                     if n in other:
-                        left = side_a.get(n)
-                        right = side_b.get(n)
-                        return left + tuple(reversed(right[:-1]))
+                        path = side_a[n] + side_b[n][-2::-1]
+                        return tuple(_from_flat_code(c) for c in path)
                     frontier.append(n)
         return None
 
@@ -888,12 +924,71 @@ class GroupoidSingleRuleTheory(AxiomsTheory):
         return None
 
 
-def _plug(context, s: Term) -> Term:
-    """The term whose subterm at the hole of context is s."""
-    while context is not None:
-        parent, side, context = context
-        s = Node(s, parent.right) if side == 1 else Node(parent.left, s)
-    return s
+# --- flat codes for the bounded proof search -----------------------------------
+#
+# A term's flat code is its left-first preorder as a tuple: 0 for each f and i
+# for each x_i.  Codes are equal iff the terms are, and the subterm at each
+# position is one contiguous slice, so a neighbour is built by splicing one
+# slice without building or interning terms (Christian, "Flatterms,
+# discrimination nets, and fast term rewriting", J. Automated Reasoning 10,
+# 1993).
+
+
+def _flat_code(t: Term) -> tuple:
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Node:
+            out.append(0)
+            stack += (u.right, u.left)
+        else:
+            out.append(u.index)
+    return tuple(out)
+
+
+def _from_flat_code(code) -> Term:
+    # right to left, each f finds its left child on top of the stack
+    stack = []
+    for c in reversed(code):
+        stack.append(Var(c) if c else Node(stack.pop(), stack.pop()))
+    return stack[0]
+
+
+def _extents(code) -> list:
+    """end[k]: the index just past the subterm that starts at k."""
+    end = [0] * len(code)
+    # ends of the subterms that start after k, the leftmost on top
+    stack = []
+    for k in range(len(code) - 1, -1, -1):
+        if code[k]:
+            stack.append(k + 1)
+        else:
+            # a node ends where its right child does: drop the left child's end
+            stack.pop()
+        end[k] = stack[-1]
+    return end
+
+
+def _flat_rule(src: Term, dst: Term):
+    """src -> dst compiled for _neighbors: src's code; dst's code as a
+    template, with (0,) for each f and a variable index to fill; dst's
+    variables with multiplicity; Siz(dst); and dst's variables that src
+    lacks, sorted."""
+    template = tuple(c or (0,) for c in _flat_code(dst))
+    dst_vars = variables(dst)
+    missing = tuple(sorted(set(dst_vars) - set(variables(src))))
+    return _flat_code(src), template, dst_vars, dst.size, missing
+
+
+def _replacement_pool(code) -> list:
+    """The values, as codes, that _neighbors gives a right-side variable
+    the left side lacks."""
+    t = _from_flat_code(code)
+    pool = [Var(i) for i in sorted(var_set(t))[:3] + [fresh_var_index(t)]]
+    # sorted is stable, so subterms of one size keep the set's order
+    pool += sorted((u for u in subterm_set(t) if type(u) is Node), key=lambda u: u.size)[:3]
+    return [_flat_code(u) for u in pool]
 
 
 def _is_associativity(ax: Identity) -> bool:

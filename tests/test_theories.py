@@ -403,6 +403,18 @@ class TestBoundedOracle:
         thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
         assert thy.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is False
 
+    @pytest.mark.parametrize("first", ["t = s", "s = t"])
+    def test_cached_rewrite_path_starts_at_the_left_term(self, first):
+        # the second query in either order is answered from the cache
+        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        t, s = parse_term("f(f(x2,x2),x3)"), parse_term("f(x2,x3)")
+        queries = [(t, s), (s, t)] if first == "t = s" else [(s, t), (t, s)]
+        for left, right in queries:
+            verdict = thy.decide(left, right)
+            assert verdict.certificate.method == "rewrite-path"
+            steps = verdict.certificate.steps
+            assert (steps[0], steps[-1]) == (str(left), str(right))
+
     def test_unknown_on_hard_instance(self):
         # a true identity with no counter-model, but the proof needs more
         # rewrite steps than the tiny budget allows

@@ -76,15 +76,33 @@ class TestUndecidedQueries:
         assert "undecided" in capsys.readouterr().err
 
 
+# a bounded theory: its axiom instance is proved by the BFS
+BOUNDED_AXIOM = "f(f(x1,x2),x1)=f(x1,x1)"
+
+
 @pytest.mark.parametrize(
-    "name", ["idempotent", "commutative", "sg-abs-1-2", "grp-rule:f(f(x1,x2),x3)=f(x2,x3)"]
+    "name",
+    [
+        "idempotent",
+        "commutative",
+        "sg-abs-1-2",
+        "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",
+        "axioms:" + BOUNDED_AXIOM,
+    ],
 )
 def test_use_attaches_no_state_to_a_theory(name):
-    thy = theory_from_name(name)
+    if name.startswith("axioms:"):
+        thy = AxiomsTheory((Identity.parse(BOUNDED_AXIOM),), OracleConfig(max_deduction_steps=1000))
+    else:
+        thy = theory_from_name(name)
     declared = set(vars(thy))
     t = parse_term("f(f(x1,x2),f(x1,x3))")
     check_stability(thy, "SR1", SweepBounds(2, 2, 1))
     normal_form(t, thy, "S")
     normal_form(t, thy, "E")
     essentiality_report(t, thy)
+    axiom = Identity.parse(BOUNDED_AXIOM)
+    verdict = thy.decide(axiom.lhs, axiom.rhs)
+    if not thy.exact:
+        assert verdict.certificate.method == "rewrite-path"
     assert set(vars(thy)) == declared
