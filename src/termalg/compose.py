@@ -28,6 +28,7 @@ from .terms import (
     position_to_text,
     positions,
     prefix_leq,
+    prefix_minimal,
     replace_at,
     subterm_at,
     subterm_set,
@@ -101,20 +102,6 @@ class SigmaPositionSets:
     essential_minimal: frozenset
 
 
-def _prefix_minimal(ps) -> list:
-    """The prefix-minimal members of ps, sorted.
-
-    In sorted (left-first preorder) order the positions below a kept one
-    follow it as one block, so a position is dropped exactly when it
-    extends the last one kept.
-    """
-    kept = []
-    for p in sorted(ps):
-        if not kept or not prefix_leq(kept[-1], p):
-            kept.append(p)
-    return kept
-
-
 def sigma_match_positions(t: Term, r: Term, theory: Theory) -> frozenset:
     """All positions of subterms of t the theory proves equal to r.
 
@@ -137,7 +124,7 @@ def sigma_position_sets(t: Term, r: Term, theory: Theory) -> SigmaPositionSets:
     matches = sigma_match_positions(t, r, theory)
 
     essential = decided_report(t, theory).essential_positions
-    minimal = _prefix_minimal(matches)
+    minimal = prefix_minimal(matches)
     essential_minimal = frozenset(
         p for p in minimal if essential.issuperset(_subtree_positions(t, p))
     )
@@ -153,7 +140,7 @@ def _replace_each(t: Term, entries, u: Term) -> Term:
 
 def sigma_compose(t: Term, r: Term, u: Term, theory: Theory) -> Term:
     """Replace u at the prefix-minimal positions of subterms equal to r."""
-    return _replace_each(t, _prefix_minimal(sigma_match_positions(t, r, theory)), u)
+    return _replace_each(t, prefix_minimal(sigma_match_positions(t, r, theory)), u)
 
 
 def star_compose(t: Term, r: Term, s: Term, theory: Theory) -> Term:

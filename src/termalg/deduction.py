@@ -132,6 +132,8 @@ def _need_premises(rule, premises, count):
 
 @dataclass(frozen=True)
 class ClosureBounds:
+    """Bounds of bounded_closure, whose max_identities is a soft cap."""
+
     max_term_length: int = 6
     max_vars: int = 4
     max_rounds: int = 6
@@ -155,6 +157,11 @@ def bounded_closure(axioms, rules=RULE_TAGS[:5], bounds: ClosureBounds | None = 
     Substitutions (D4) and contexts (D5) draw from the pool of variables and
     two-leaf terms; deep contexts arise by iterating rounds.  Returns the
     derived identities in a deterministic order.
+
+    bounds.max_identities is a soft cap: reaching it ends only the innermost
+    loop of a rule, and the outer loops and later rules for the same
+    identity each add up to one more (the bounded sweeps' closures reach 413
+    identities for a cap of 400).
     """
     bounds = bounds or ClosureBounds()
     rules = tuple(rules)
@@ -248,6 +255,9 @@ def _essential_subterm_reps(t, s, theory):
 
 
 # --- stability sweeps ---------------------------------------------------------
+
+# the most terms an exact sweep enumerates: it keeps about 2.5 KB per term
+MAX_EXACT_SWEEP_TERMS = 250_000
 
 
 @dataclass(frozen=True)
@@ -375,6 +385,15 @@ def check_stability(
     u = Var(bounds.max_vars + 1)
     report = StabilityReport(theory, mode, bounds)
     if theory.exact:
+        # T(0) = v, T(d) = T(d-1)**2 + v terms of depth <= d over v variables
+        count, depth = bounds.max_vars, 0
+        while count <= MAX_EXACT_SWEEP_TERMS and depth < bounds.max_depth:
+            count, depth = count * count + bounds.max_vars, depth + 1
+        if count > MAX_EXACT_SWEEP_TERMS:
+            raise BoundsError(
+                f"sweep bounds (depth {bounds.max_depth}, {bounds.max_vars} variables) give "
+                f"at least {count:,} terms; an exact sweep takes {MAX_EXACT_SWEEP_TERMS:,} at most"
+            )
         _sweep_exact(theory, mode, bounds, report, u)
     else:
         report.exhaustive = False

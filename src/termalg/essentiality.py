@@ -23,6 +23,7 @@ from .terms import (
     substitute,
     subterm_at,
     subterm_set,
+    subtree_ends,
     var_set,
 )
 from .theories import Theory
@@ -67,19 +68,18 @@ def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
     n = max_var_index(t)
     xa, xb = Var(n + 1), Var(n + 2)
 
+    pos, ends = positions(t), subtree_ends(t)
     ess_p, fic_p, und_p = set(), set(), set()
-    for p in sorted(positions(t)):
-        if any(q in fic_p for q in (p[:k] for k in range(len(p)))):
-            # extensions of fictive positions are fictive (monotone structure)
-            fic_p.add(p)
-            continue
+    by_verdict = {False: ess_p, True: fic_p, None: und_p}
+    i = 0
+    while i < len(pos):
+        p = pos[i]
         verdict = theory.equal(replace_at(t, p, xa), replace_at(t, p, xb))
-        if verdict is True:
-            fic_p.add(p)
-        elif verdict is False:
-            ess_p.add(p)
-        else:
-            und_p.add(p)
+        # extensions of fictive positions are fictive (monotone structure), so
+        # a fictive position classifies its whole block of the preorder
+        end = ends[i] if verdict is True else i + 1
+        by_verdict[verdict].update(pos[i:end])
+        i = end
     return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p))
 
 

@@ -16,18 +16,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import NotReducibleError, NotRemovableError
 from .essentiality import decided_report
 from .terms import (
-    Node,
     Position,
     Term,
     position_to_text,
     positions,
+    prefix_minimal,
     proper_prefix,
     replace_at,
     subterm_at,
+    subtree_ends,
     term_to_text,
 )
 from .theories import Theory
@@ -44,6 +46,10 @@ class ReduciblePair:
                 f"{position_to_text(self.p)} is not a proper prefix of "
                 f"{position_to_text(self.q)}"
             )
+
+    def __radd__(self, position: Position):
+        """position + (p, q) is the pair (position·p, position·q) below position."""
+        return ReduciblePair(position + self.p, position + self.q)
 
 
 @dataclass
@@ -76,49 +82,46 @@ class ReductionTrace:
         }
 
 
-def reducible_pairs(t: Term, theory: Theory) -> frozenset:
-    """Rd(t): all reducible pairs, outermost heads with maximal tails, plus
-    the nested pairs obtained by composing through a pair's tail subterm."""
-    cache = theory._rd_cache
+def _closure(t: Term, theory: Theory, cache: dict, layer, nest) -> frozenset:
+    """The closure of t, cached per subterm: the outermost layer
+    layer(u, theory) of each subterm u, plus q + c for each c in the closure
+    of u|q, where q = nest(m) for each member m of the layer.  A nested
+    member adds nothing, as its own closure lies in the one below q.
+    Subterms are visited as a recursion over each layer from its last member
+    would visit them, and a closure is built after those below it."""
     got = cache.get(t)
-    if got is not None:
-        return got
-
-    pairs = _outermost_pairs_by_key(t, theory) if theory.exact else _outermost_pairs(t, theory)
-
-    # nested clause: compose through the tail subterm of every pair
-    queue = list(pairs)
-    while queue:
-        pair = queue.pop()
-        for inner in reducible_pairs(subterm_at(t, pair.q), theory):
-            composed = ReduciblePair(pair.q + inner.p, pair.q + inner.q)
-            if composed not in pairs:
-                pairs.add(composed)
-                queue.append(composed)
-
-    result = frozenset(pairs)
-    cache[t] = result
-    return result
-
-
-def _subtree_ends(t: Term) -> list:
-    """For the i-th position of t in positions(t) order, the index just past
-    its subtree: i + 2*Siz + 1, since a subtree is one block of that order."""
-    ends = []
-    stack = [t]
+    stack = [t] if got is None else []
     while stack:
         u = stack.pop()
-        ends.append(len(ends) + 2 * u.size + 1)
-        if type(u) is Node:
-            stack += (u.right, u.left)
-    return ends
+        if type(u) is tuple:
+            u, members, below = u
+            closed = set(members)
+            for q, v in below:
+                closed.update([q + m for m in cache[v]])
+            cache[u] = got = frozenset(closed)
+        elif u not in cache:
+            members = list(layer(u, theory))
+            below = [(q, subterm_at(u, q)) for q in map(nest, members)]
+            stack.append((u, members, below))
+            stack += [v for _, v in below]
+    return got  # the last closure built is t's
+
+
+_tail = attrgetter("q")
+
+
+def reducible_pairs(t: Term, theory: Theory) -> frozenset:
+    """Rd(t): the outermost heads with their maximal tails, plus q + Rd(t|q)
+    for each of their tails q."""
+    layer = _outermost_pairs_by_key if theory.exact else _outermost_pairs
+    return _closure(t, theory, theory._rd_cache, layer, _tail)
 
 
 def _outermost_pairs_by_key(t: Term, theory: Theory) -> set:
     """The outermost heads of t with their maximal tails, read off the key
     vector of an exact theory as index ranges."""
     keys = theory.key_vector(t)
-    ends = _subtree_ends(t)
+    ends = subtree_ends(t)
     pos = positions(t)
     pairs = set()
     i = 0
@@ -162,35 +165,19 @@ def _outermost_pairs(t: Term, theory: Theory) -> set:
     return pairs
 
 
+def _sibling(x: Position) -> Position:
+    return x[:-1] + (3 - x[-1],)
+
+
+def _minimal_fictive_desc(u: Term, theory: Theory) -> list:
+    # descending, so that the smallest position's sibling is visited first
+    return [x for x in reversed(prefix_minimal(decided_report(u, theory).fictive_positions)) if x]
+
+
 def removable_positions(t: Term, theory: Theory) -> frozenset:
-    """Rm(t): minimal fictive positions, plus positions reachable through the
-    sibling branch of a removable position."""
-    cache = theory._rm_cache
-    got = cache.get(t)
-    if got is not None:
-        return got
-
-    fictive = decided_report(t, theory).fictive_positions
-    removable = {
-        p
-        for p in fictive
-        if p and not any(proper_prefix(q, p) for q in fictive)
-    }
-
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(removable):
-            sibling = x[:-1] + (3 - x[-1],)
-            for q2 in removable_positions(subterm_at(t, sibling), theory):
-                candidate = sibling + q2
-                if candidate not in removable:
-                    removable.add(candidate)
-                    changed = True
-
-    result = frozenset(removable)
-    cache[t] = result
-    return result
+    """Rm(t): the minimal fictive positions, plus s + Rm(t|s) for each of
+    their siblings s."""
+    return _closure(t, theory, theory._rm_cache, _minimal_fictive_desc, _sibling)
 
 
 def step_S(t: Term, pair: ReduciblePair, theory: Theory | None = None) -> Term:
@@ -214,9 +201,7 @@ def step_E(t: Term, removable: Position, theory: Theory | None = None) -> Term:
         raise NotRemovableError(
             f"{position_to_text(removable)} is not removable in {t}"
         )
-    parent, alpha = removable[:-1], removable[-1]
-    survivor = subterm_at(t, parent + (3 - alpha,))
-    result = replace_at(t, parent, survivor)
+    result = replace_at(t, removable[:-1], subterm_at(t, _sibling(removable)))
     assert result.length < t.length
     return result
 

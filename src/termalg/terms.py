@@ -211,6 +211,30 @@ def proper_prefix(p: Position, q: Position) -> bool:
     return len(p) < len(q) and q[: len(p)] == p
 
 
+def subtree_ends(t: Term) -> list:
+    """For the i-th position of t in positions(t) order, the index just past
+    its subtree: i + 2*Siz + 1, since a subtree is one block of that order."""
+    ends = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        ends.append(len(ends) + 2 * u.size + 1)
+        if type(u) is Node:
+            stack += (u.right, u.left)
+    return ends
+
+
+def prefix_minimal(ps) -> list:
+    """The prefix-minimal members of ps, sorted.  In sorted (preorder) order
+    the positions below a kept one follow it as one block, so a position is
+    dropped exactly when it extends the last one kept."""
+    kept = []
+    for p in sorted(ps):
+        if not kept or not prefix_leq(kept[-1], p):
+            kept.append(p)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # valuations and variables
 
@@ -353,40 +377,35 @@ def to_arrays(t: Term) -> TermArrays:
 
 
 def from_arrays(a: TermArrays) -> Term:
-    """Rebuild a term from its arrays; raises MalformedArraysError on bad input."""
-    pos = list(a.positions)
-    pos_set = set(pos)
-    if len(pos_set) != len(pos) or () not in pos_set:
-        raise MalformedArraysError("position list must contain the root and no duplicates")
-    for p in pos_set:
-        if any(d not in (1, 2) for d in p):
-            raise MalformedArraysError(f"bad digit in position {position_to_text(p)}")
-        if p and p[:-1] not in pos_set:
-            raise MalformedArraysError(f"position list is not prefix-closed at {position_to_text(p)}")
-    leaves = []
-    for p in sorted(pos_set):
-        c1, c2 = p + (1,), p + (2,)
-        has1, has2 = c1 in pos_set, c2 in pos_set
-        if has1 != has2:
-            raise MalformedArraysError(f"node at {position_to_text(p)} has exactly one child")
-        if not has1:
-            leaves.append(p)
-    if len(leaves) != len(a.var_indexes):
+    """Rebuild a term from its arrays; raises MalformedArraysError on bad input.
+
+    The positions must be the left-first preorder of a tree: each is the one
+    the walk expects next, and it is a node when its left child follows it.
+    """
+    pos = tuple(a.positions)
+    is_node = []
+    expected = [ROOT]  # the positions the walk still owes, the next on top
+    for i, p in enumerate(pos):
+        if not expected or expected.pop() != p:
+            raise MalformedArraysError(
+                f"positions are not the left-first preorder of a tree from entry {i + 1} on"
+            )
+        is_node.append(pos[i + 1 : i + 2] == (p + (1,),))
+        if is_node[-1]:
+            expected += (p + (2,), p + (1,))
+    if expected:
+        raise MalformedArraysError(f"position list ends before {position_to_text(expected[-1])}")
+    if is_node.count(False) != len(a.var_indexes):
         raise MalformedArraysError(
-            f"{len(leaves)} leaves but {len(a.var_indexes)} variable indexes"
+            f"{is_node.count(False)} leaves but {len(a.var_indexes)} variable indexes"
         )
-    if tuple(a.positions) != tuple(sorted(pos_set)):
-        raise MalformedArraysError("positions are not in padded-lexicographic order")
-    leaf_vars = dict(zip(leaves, a.var_indexes))
-    # children follow their parent in the sorted list, so a reverse scan
-    # builds both children of a node before the node itself
-    built = {}
-    for p in reversed(a.positions):
-        if p in leaf_vars:
-            built[p] = Var(leaf_vars[p])
-        else:
-            built[p] = Node(built.pop(p + (1,)), built.pop(p + (2,)))
-    return built[()]
+    # children follow their parent, so a reverse scan builds both children of
+    # a node before the node itself, and meets the leaves right to left
+    indexes = list(a.var_indexes)
+    stack = []
+    for node in reversed(is_node):
+        stack.append(Node(stack.pop(), stack.pop()) if node else Var(indexes.pop()))
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

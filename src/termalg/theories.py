@@ -517,12 +517,7 @@ class Theory:
 
     def key_vector(self, t: Term) -> tuple:
         """The canonical keys of t's subterms, in positions(t) order (exact
-        theories only).
-
-        In that left-first preorder the subtree of the i-th position holds
-        the positions i .. i + 2*Siz + 1 (excluded) of its subterm, so a
-        prefix test becomes an index range.
-        """
+        theories only), where a subtree is one block (``subtree_ends``)."""
         got = self._key_vectors.get(t)
         if got is None:
             key = self._cached_key
@@ -956,17 +951,11 @@ def _from_flat_code(code) -> Term:
 
 
 def _extents(code) -> list:
-    """end[k]: the index just past the subterm that starts at k."""
+    """end[k]: the index just past the subterm that starts at k.  A node's
+    right child starts where its left child, at k + 1, ends."""
     end = [0] * len(code)
-    # ends of the subterms that start after k, the leftmost on top
-    stack = []
     for k in range(len(code) - 1, -1, -1):
-        if code[k]:
-            stack.append(k + 1)
-        else:
-            # a node ends where its right child does: drop the left child's end
-            stack.pop()
-        end[k] = stack[-1]
+        end[k] = k + 1 if code[k] else end[end[k + 1]]
     return end
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -468,8 +469,14 @@ class TestBounds:
         argv = ("equiv", "--theory-file", str(path), "--max-model-size", "0", "x1", "x1")
         assert invoke(capsys, *argv)[0] == 1
 
-    def test_sweep_bound_out_of_range(self, capsys):
-        argv = ("stability", "--theory", "idempotent", "--max-depth", "0")
+    # depth 4 over 3 variables gives 467,078,547 terms, past what an exact
+    # sweep enumerates: refused before any is built
+    @pytest.mark.parametrize("depth", ["0", "4"])
+    def test_sweep_bound_out_of_range(self, capsys, depth):
+        argv = ("stability", "--theory", "idempotent", "--max-depth", depth)
+        start = time.perf_counter()
         code, _, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
         assert code == 1
         assert "sweep bounds" in err
+        assert err.startswith("error: ") and err.count("\n") == 1

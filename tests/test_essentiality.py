@@ -2,14 +2,26 @@
 
 import random
 
+import pytest
+
 from termalg.essentiality import (
+    EssentialityReport,
+    _compute_report,
     essential_positions,
     essential_subterms,
     essentiality_report,
     is_essential_subterm,
     variable_verdicts,
 )
-from termalg.terms import Var, parse_term, positions, random_term, var_set
+from termalg.terms import (
+    Var,
+    max_var_index,
+    parse_term,
+    positions,
+    random_term,
+    replace_at,
+    var_set,
+)
 from termalg.theories import AxiomsTheory, Identity, OracleConfig
 
 from conftest import shared_theory
@@ -17,6 +29,26 @@ from conftest import shared_theory
 
 def sigma2():
     return shared_theory("grp-rule:f(f(x1,x2),x3)=f(x2,x3)")
+
+
+def ref_compute_report(t, theory):
+    """One query per position in sorted order, skipping each position that
+    has a fictive proper prefix."""
+    n = max_var_index(t)
+    xa, xb = Var(n + 1), Var(n + 2)
+    ess_p, fic_p, und_p = set(), set(), set()
+    for p in sorted(positions(t)):
+        if any(p[:k] in fic_p for k in range(len(p))):
+            fic_p.add(p)
+            continue
+        verdict = theory.equal(replace_at(t, p, xa), replace_at(t, p, xb))
+        if verdict is True:
+            fic_p.add(p)
+        elif verdict is False:
+            ess_p.add(p)
+        else:
+            und_p.add(p)
+    return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p))
 
 
 class CountingTheory(AxiomsTheory):
@@ -94,6 +126,26 @@ class TestReport:
         }
         assert len(thy.queries) <= len(positions(t)) - len(under_fictive)
         assert all(t not in query for query in thy.queries)
+
+
+@pytest.mark.parametrize(
+    "name",
+    (
+        *(f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
+        "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",  # Σ2
+        "grp-rule:f(f(x1,x2),x3)=f(x2,x1)",  # node-collapse
+    ),
+)
+def test_report_matches_the_reference(name):
+    thy = shared_theory(name)
+    rng = random.Random(6)
+    fictive = 0
+    for _ in range(40):
+        t = random_term(rng, 5, rng.randint(1, 4), leaf_prob=0.2)
+        got = _compute_report(t, thy)
+        assert got == ref_compute_report(t, thy), t
+        fictive += bool(got.fictive_positions)
+    assert fictive > 0
 
 
 class TestVariableVerdicts:

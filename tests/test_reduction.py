@@ -5,6 +5,7 @@ import random
 import pytest
 
 from termalg.errors import NotReducibleError, NotRemovableError
+from termalg.essentiality import decided_report, essentiality_report
 from termalg.reduction import (
     ReduciblePair,
     er,
@@ -16,13 +17,43 @@ from termalg.reduction import (
     step_E,
     step_S,
 )
-from termalg.terms import Var, parse_term, random_term
+from termalg.terms import (
+    Var,
+    parse_term,
+    prefix_minimal,
+    proper_prefix,
+    random_term,
+    subterm_at,
+)
 
 from conftest import shared_theory
 
 
 def sigma2():
     return shared_theory("grp-rule:f(f(x1,x2),x3)=f(x2,x3)")
+
+
+def ref_removable_positions(t, theory, memo=None):
+    """Rm as a fixpoint: the minimal fictive positions, then, round after
+    round, every removable position's sibling with that sibling's Rm below
+    it, until a round adds nothing; memo caches Rm per subterm."""
+    memo = {} if memo is None else memo
+    got = memo.get(t)
+    if got is not None:
+        return got
+    fictive = decided_report(t, theory).fictive_positions
+    removable = {p for p in fictive if p and not any(proper_prefix(q, p) for q in fictive)}
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(removable):
+            sibling = x[:-1] + (3 - x[-1],)
+            for q2 in ref_removable_positions(subterm_at(t, sibling), theory, memo):
+                if sibling + q2 not in removable:
+                    removable.add(sibling + q2)
+                    changed = True
+    memo[t] = frozenset(removable)
+    return memo[t]
 
 
 class TestReduciblePairs:
@@ -75,13 +106,31 @@ class TestRemovablePositions:
         rng = random.Random(7)
         for _ in range(20):
             t = random_term(rng, 4, 3)
-            from termalg.essentiality import essentiality_report
-
             fictive = {p for p in essentiality_report(t, thy).fictive_positions if p}
             minimal = {
                 p for p in fictive if not any(q != p and q == p[: len(q)] for q in fictive)
             }
             assert removable_positions(t, thy) >= minimal
+
+    @pytest.mark.parametrize(
+        "name",
+        (
+            *(f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
+            "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",  # Σ2
+            "grp-rule:f(f(x1,x2),x3)=f(x2,x1)",  # node-collapse
+        ),
+    )
+    def test_matches_the_reference(self, name):
+        thy = shared_theory(name)
+        rng = random.Random(8)
+        nested = 0
+        for _ in range(60):
+            t = random_term(rng, 6, rng.randint(1, 4), leaf_prob=0.2)
+            got = removable_positions(t, thy)
+            assert got == ref_removable_positions(t, thy), t
+            minimal = prefix_minimal(decided_report(t, thy).fictive_positions)
+            nested += not got.issubset(minimal)
+        assert nested > 0
 
 
 class TestSteps:

@@ -24,6 +24,7 @@ from termalg.terms import (
     position_to_text,
     positions,
     prefix_leq,
+    prefix_minimal,
     proper_prefix,
     random_term,
     rename_canonical,
@@ -31,6 +32,7 @@ from termalg.terms import (
     substitute,
     subterm_at,
     subterm_set,
+    subtree_ends,
     term_to_text,
     to_arrays,
     valuations,
@@ -161,8 +163,6 @@ class TestDeepTerms:
 
 # the functions of src/termalg that may still call themselves, and why
 RECURSIVE = {
-    "reducible_pairs": "once per nested redex; an iterative version adds code",
-    "removable_positions": "once per removable sibling; an iterative version adds code",
     "random_term": "its depth is its own argument, and no CLI path reaches it",
 }
 
@@ -217,6 +217,18 @@ class TestPositions:
         assert prefix_leq((1,), (1,))
         assert not proper_prefix((1,), (1,))
         assert proper_prefix((), (2,))
+
+    @given(terms_strategy())
+    def test_subtrees_are_blocks(self, t):
+        pos = positions(t)
+        for i, end in enumerate(subtree_ends(t)):
+            assert pos[i:end] == tuple(q for q in pos if prefix_leq(pos[i], q))
+
+    @given(terms_strategy(), st.data())
+    def test_prefix_minimal(self, t, data):
+        ps = data.draw(st.sets(st.sampled_from(positions(t))))
+        kept = prefix_minimal(ps)
+        assert kept == sorted(p for p in ps if not any(proper_prefix(q, p) for q in ps))
 
     @given(terms_strategy())
     def test_subterm_composition(self, t):
