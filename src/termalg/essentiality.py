@@ -22,7 +22,6 @@ from .terms import (
     replace_at,
     substitute,
     subterm_at,
-    subterm_set,
     subtree_ends,
     var_set,
 )
@@ -120,12 +119,16 @@ def essential_positions(t: Term, theory: Theory) -> frozenset:
 
 def essential_subterms(t: Term, theory: Theory) -> set:
     """SEss(t): subterms of t at some essential position, closed under
-    theory-equivalence among the subterms of t."""
-    at_essential = {subterm_at(t, p) for p in essential_positions(t, theory)}
+    theory-equivalence among the subterms of t.
+
+    The questions go in a fixed order, not a set's (terms hash by identity):
+    t's distinct subterms in preorder, each against the essential subterms
+    in the order of their positions.
+    """
+    at_essential = dict.fromkeys(subterm_at(t, p) for p in sorted(essential_positions(t, theory)))
+    subterms = dict.fromkeys(subterm_at(t, p) for p in positions(t))
     return {
-        u
-        for u in subterm_set(t)
-        if u in at_essential or any(theory.holds(u, w) for w in at_essential)
+        u for u in subterms if u in at_essential or any(theory.holds(u, w) for w in at_essential)
     }
 
 

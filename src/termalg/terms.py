@@ -6,9 +6,11 @@ one binary symbol ``f`` to two terms (``Node``).  Positions are tuples over
 Everything here is immutable and pure.
 
 Terms are hash-consed: constructing a term equal to one still alive returns
-that same object, so equality is identity.  The intern tables hold their
-terms weakly and forget a term when it dies.  Hashes stay structural (the
-same value for the same tree in every process).  ``variables`` and
+that same object, so equality and hashing are by identity (Filliâtre &
+Conchon, "Type-Safe Modular Hash-Consing", 2006).  The intern tables hold
+their terms weakly and forget a term when it dies.  A hash is an address,
+so the iteration order of a set of terms differs between runs; no result
+may depend on it.  ``variables`` and
 ``positions`` are computed once per term, when first asked, and every
 traversal here runs without recursion, so deep terms do not exhaust the
 interpreter stack.
@@ -64,11 +66,11 @@ def _intern(table, evict, key, term):
 class Term:
     """Base class; instances are Var or Node.
 
-    Equality is identity (terms are interned); ``_vars`` and ``_positions``
-    hold ``variables`` and ``positions`` once computed.
+    Equality and hashing are by identity (terms are interned); ``_vars`` and
+    ``_positions`` hold ``variables`` and ``positions`` once computed.
     """
 
-    __slots__ = ("_hash", "_vars", "_positions", "__weakref__")
+    __slots__ = ("_vars", "_positions", "__weakref__")
 
     # populated by subclasses
     length: int
@@ -83,9 +85,6 @@ class Term:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self):
-        return self._hash
 
 
 class Var(Term):
@@ -108,7 +107,6 @@ class Var(Term):
         index = int(index)
         var = object.__new__(cls)
         _set(var, "index", index)
-        _set(var, "_hash", hash((0x5661, index)))
         _set(var, "_vars", (index,))
         _set(var, "_positions", (ROOT,))
         return _intern(_VARS, _evict_var, index, var)
@@ -137,7 +135,6 @@ class Node(Term):
         _set(node, "length", left.length + right.length)
         _set(node, "size", left.size + right.size + 1)
         _set(node, "depth", max(left.depth, right.depth) + 1)
-        _set(node, "_hash", hash((0x4E4F, left._hash, right._hash)))
         _set(node, "_vars", None)
         _set(node, "_positions", None)
         return _intern(_NODES, _evict_node, key, node)
@@ -280,9 +277,8 @@ def fresh_var_index(*terms: Term) -> int:
 def subterm_set(t: Term):
     """Sub(t): the set of distinct subterms of t.
 
-    The set iterates in the order its hash table gives, not in insertion
-    order.  That order is the same in every run, because term hashes are
-    structural and the insertions below follow t's left-first preorder.
+    Its iteration order is arbitrary and differs between runs (terms hash
+    by identity), so callers sort it or only test membership.
     """
     out = set()
     stack = [t]

@@ -28,14 +28,12 @@ from .terms import (
     Var,
     enumerate_terms_by_length,
     fold_term,
-    fresh_var_index,
     max_var_index,
     parse_term,
     positions,
     rename_canonical,
     replace_at,
     subterm_at,
-    subterm_set,
     substitute,
     term_to_text,
     var_set,
@@ -791,12 +789,8 @@ class AxiomsTheory(Theory):
         code, as codes, in order: positions left-first, then axioms, each
         left-to-right before right-to-left, then pool combinations.
 
-        A right-side variable the left side lacks takes each value of the
-        pool: up to three of the term's variables and one fresh one, then
-        its three smallest composite subterms.  Among subterms of one size
-        the pool keeps subterm_set's iteration order, which follows the
-        structural term hashes, so it is the same in every run; the bounded
-        search's Unknowns depend on it.  Results larger than
+        A right-side variable the left side lacks takes each value of
+        _replacement_pool, which is read off the code.  Results larger than
         max_deduction_term_size are dropped.
         """
         out = []
@@ -827,7 +821,7 @@ class AxiomsTheory(Theory):
                 else:
                     if missing:
                         if pool is None:
-                            pool = _replacement_pool(code)
+                            pool = _replacement_pool(code, end)
                         combos = itertools.product(pool, repeat=len(missing))
                     else:
                         combos = ((),)
@@ -849,9 +843,8 @@ class AxiomsTheory(Theory):
         rewrite path from t to s, or None.
 
         The search runs on flat codes and rebuilds terms only for the path
-        it returns.  A budget of max_deduction_steps = k expands at most
-        k - 1 terms: the k-th step ends the search before its expansion, so
-        a budget of 1 proves nothing but t = t.
+        it returns.  A budget of max_deduction_steps = k expands at most k
+        terms.
         """
         if t == s:
             return (t,)
@@ -867,10 +860,10 @@ class AxiomsTheory(Theory):
             else:
                 frontier, seen, other = frontier_b, side_b, side_a
             for _ in range(len(frontier)):
-                u = frontier.popleft()
-                steps += 1
-                if steps >= limit:
+                if steps == limit:
                     break
+                steps += 1
+                u = frontier.popleft()
                 for n in self._neighbors(u):
                     if n in seen:
                         continue
@@ -970,14 +963,22 @@ def _flat_rule(src: Term, dst: Term):
     return _flat_code(src), template, dst_vars, dst.size, missing
 
 
-def _replacement_pool(code) -> list:
+def _replacement_pool(code, end) -> list:
     """The values, as codes, that _neighbors gives a right-side variable
-    the left side lacks."""
-    t = _from_flat_code(code)
-    pool = [Var(i) for i in sorted(var_set(t))[:3] + [fresh_var_index(t)]]
-    # sorted is stable, so subterms of one size keep the set's order
-    pool += sorted((u for u in subterm_set(t) if type(u) is Node), key=lambda u: u.size)[:3]
-    return [_flat_code(u) for u in pool]
+    the left side lacks: up to three of the code's variable indexes and one
+    fresh index, then its three shortest distinct composite slices, ties
+    going to the first start in the code."""
+    indexes = sorted(set(code) - {0})
+    pool = [(i,) for i in indexes[:3]] + [(indexes[-1] + 1,)]
+    composite = []
+    # sorted is stable, so slices of one length stay in order of their start
+    for k in sorted((k for k, c in enumerate(code) if not c), key=lambda k: end[k] - k):
+        piece = code[k : end[k]]
+        if piece not in composite:
+            composite.append(piece)
+            if len(composite) == 3:
+                break
+    return pool + composite
 
 
 def _is_associativity(ax: Identity) -> bool:

@@ -13,9 +13,10 @@ from termalg.terms import (
     Var,
     fresh_var_index,
     parse_term,
+    positions,
     random_term,
-    subterm_set,
     substitute,
+    subterm_at,
     var_set,
     variables,
 )
@@ -76,7 +77,10 @@ def ref_neighbors(thy, t):
     out = []
     cap = thy.config.max_deduction_term_size
     pool = [Var(i) for i in sorted(var_set(t))[:3] + [fresh_var_index(t)]]
-    pool += sorted((u for u in subterm_set(t) if isinstance(u, Node)), key=lambda u: u.size)[:3]
+    # the three smallest distinct composite subterms; of equal size, the one
+    # that comes first in the preorder goes first
+    firsts = dict.fromkeys(subterm_at(t, p) for p in positions(t))
+    pool += sorted((u for u in firsts if isinstance(u, Node)), key=lambda u: u.size)[:3]
     stack = [(t, None)]
     while stack:
         sub, context = stack.pop()
@@ -113,10 +117,10 @@ def ref_bfs_prove(thy, t, s):
         else:
             frontier, seen, other = frontier_b, side_b, side_a
         for _ in range(len(frontier)):
-            u = frontier.popleft()
-            steps += 1
-            if steps >= limit:
+            if steps == limit:
                 break
+            steps += 1
+            u = frontier.popleft()
             for n in ref_neighbors(thy, u):
                 if n in seen:
                     continue

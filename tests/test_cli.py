@@ -398,7 +398,8 @@ class TestTheoryFile:
         assert out.splitlines()[0] == "f(x2,x3)"
 
     def test_max_model_size_keeps_the_files_other_bounds(self, capsys, tmp_path):
-        # one BFS step cannot prove commutativity, and no model refutes it
+        # the identity below takes two commutativity steps, so a budget of one
+        # expansion cannot prove it while the default can; no model refutes it
         path = tmp_path / "comm.json"
         path.write_text(
             json.dumps(
@@ -409,7 +410,7 @@ class TestTheoryFile:
                 }
             )
         )
-        argv = ("equiv", "--theory-file", str(path), "f(x1,x2)", "f(x2,x1)")
+        argv = ("equiv", "--theory-file", str(path), "f(f(x1,x2),x3)", "f(x3,f(x2,x1))")
         assert invoke(capsys, *argv)[1].splitlines()[0] == "Unknown"
         code, out, _ = invoke(capsys, *argv, "--max-model-size", "2")
         assert code == 0

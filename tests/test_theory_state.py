@@ -20,8 +20,9 @@ from termalg.terms import parse_term
 from termalg.theories import AxiomsTheory, Identity, OracleConfig, theory_from_name
 
 AXIOM = "f(f(x1,x1),x2)=f(x2,x2)"
-# no model of size 1 separates anything, and one BFS step proves nothing
-# but reflexivity, so every query between distinct terms is Unknown
+# no model of size 1 separates anything, and one BFS step expands only the
+# start term, which the axiom cannot rewrite in any of the queries below, so
+# every query between distinct terms is Unknown
 BOUNDS = OracleConfig(max_model_size=1, max_deduction_steps=1)
 T, R, U = parse_term("f(x1,x2)"), parse_term("x1"), parse_term("x3")
 NESTED = parse_term("f(f(x1,x2),x1)")
