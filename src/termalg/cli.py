@@ -32,6 +32,8 @@ from .terms import (
     Node,
     parse_term,
     position_to_text,
+    positions,
+    preorder,
     term_to_text,
     to_arrays,
 )
@@ -237,19 +239,18 @@ def emit_dot(t) -> str:
     """DOT digraph of the term tree: node ids are position strings, internal
     nodes labeled f, leaves labeled x<i>, edges ordered left-then-right."""
     nodes, edges = [], []
-    # left-first preorder; each edge is listed when its child is visited
-    stack = [(t, "", None)]
-    while stack:
-        u, digits, parent_id = stack.pop()
-        pid = digits or position_to_text(())
-        if parent_id is not None:
-            edges.append(f'  "{parent_id}" -> "{pid}";')
-        if isinstance(u, Node):
-            nodes.append(f'  "{pid}" [label="f"];')
-            stack.append((u.right, digits + "2", pid))
-            stack.append((u.left, digits + "1", pid))
-        else:
-            nodes.append(f'  "{pid}" [label="x{u.index}"];')
+    # digits[d]: the digits of the last position visited at depth d, which in
+    # preorder is the parent of the next one at depth d + 1; each edge is
+    # listed when its child is visited
+    digits = []
+    for p, u in zip(positions(t), preorder(t)):
+        del digits[len(p) :]
+        digits.append(digits[-1] + str(p[-1]) if p else "")
+        pid = digits[-1] or position_to_text(())
+        if p:
+            edges.append(f'  "{digits[-2] or position_to_text(())}" -> "{pid}";')
+        label = "f" if isinstance(u, Node) else f"x{u.index}"
+        nodes.append(f'  "{pid}" [label="{label}"];')
     return "\n".join(["digraph term {"] + nodes + edges + ["}"])
 
 

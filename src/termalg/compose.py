@@ -29,6 +29,7 @@ from .terms import (
     positions,
     prefix_leq,
     prefix_minimal,
+    preorder,
     replace_at,
     subterm_at,
     subterm_set,
@@ -110,7 +111,7 @@ def sigma_match_positions(t: Term, r: Term, theory: Theory) -> frozenset:
     if theory.exact:
         key = theory._cached_key(r)
         return frozenset(p for p, k in zip(positions(t), theory.key_vector(t)) if k == key)
-    return frozenset(p for p in positions(t) if theory.holds(subterm_at(t, p), r))
+    return frozenset(p for p, u in zip(positions(t), preorder(t)) if theory.holds(u, r))
 
 
 def _subtree_positions(t: Term, p) -> tuple:

@@ -29,6 +29,7 @@ from .terms import (
     enumerate_terms,
     max_var_index,
     positions,
+    preorder,
     replace_at,
     subterm_at,
     subterm_set,
@@ -42,8 +43,8 @@ from .theories import (
     CounterModel,
     Derivation,
     DistinctCanonicalKeys,
-    ExhaustedBounds,
     Identity,
+    OracleConfig,
     Theory,
     term_sort_key,
 )
@@ -353,7 +354,7 @@ def certificate_to_json(certificate):
             "left": str(certificate.left_key),
             "right": str(certificate.right_key),
         }
-    if isinstance(certificate, ExhaustedBounds):
+    if isinstance(certificate, OracleConfig):  # the bounds an Unknown exhausted
         return {
             "kind": "exhausted-bounds",
             "maxModelSize": certificate.max_model_size,
@@ -421,12 +422,11 @@ def _sweep_exact(theory, mode, bounds, report, u):
         for t in members:
             essential = essential_positions(t, theory)
             keys = set()
-            for p, sub_key in zip(positions(t), theory.key_vector(t)):
+            for p, sub, sub_key in zip(positions(t), preorder(t), theory.key_vector(t)):
                 if p not in essential:
                     continue
                 keys.add(sub_key)
                 prior = rep_for_class.get(sub_key)
-                sub = subterm_at(t, p)  # only to pick the class representative
                 if prior is None or term_sort_key(sub) < term_sort_key(prior):
                     rep_for_class[sub_key] = sub
             classes_of[t] = keys

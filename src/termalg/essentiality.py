@@ -18,6 +18,7 @@ from .terms import (
     Var,
     max_var_index,
     positions,
+    preorder,
     rename_canonical,
     replace_at,
     substitute,
@@ -125,10 +126,13 @@ def essential_subterms(t: Term, theory: Theory) -> set:
     t's distinct subterms in preorder, each against the essential subterms
     in the order of their positions.
     """
-    at_essential = dict.fromkeys(subterm_at(t, p) for p in sorted(essential_positions(t, theory)))
-    subterms = dict.fromkeys(subterm_at(t, p) for p in positions(t))
+    essential = essential_positions(t, theory)
+    subterms = preorder(t)
+    at_essential = dict.fromkeys(u for p, u in zip(positions(t), subterms) if p in essential)
     return {
-        u for u in subterms if u in at_essential or any(theory.holds(u, w) for w in at_essential)
+        u
+        for u in dict.fromkeys(subterms)
+        if u in at_essential or any(theory.holds(u, w) for w in at_essential)
     }
 
 

@@ -10,10 +10,11 @@ that same object, so equality and hashing are by identity (Filliâtre &
 Conchon, "Type-Safe Modular Hash-Consing", 2006).  The intern tables hold
 their terms weakly and forget a term when it dies.  A hash is an address,
 so the iteration order of a set of terms differs between runs; no result
-may depend on it.  ``variables`` and
-``positions`` are computed once per term, when first asked, and every
-traversal here runs without recursion, so deep terms do not exhaust the
-interpreter stack.
+may depend on it.  ``variables`` and ``positions`` are computed once per
+term, when first asked.  ``preorder`` lists a term's subterms in
+``positions`` order; subtree blocks, flat codes and the array decoding are
+read off that one layout.  Every traversal here runs without recursion, so
+deep terms do not exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -208,17 +209,26 @@ def proper_prefix(p: Position, q: Position) -> bool:
     return len(p) < len(q) and q[: len(p)] == p
 
 
-def subtree_ends(t: Term) -> list:
-    """For the i-th position of t in positions(t) order, the index just past
-    its subtree: i + 2*Siz + 1, since a subtree is one block of that order."""
-    ends = []
+def preorder(t: Term) -> list:
+    """The subterms of t, one per position, in positions(t) order.  A subtree
+    is one contiguous block of it, 2*Siz + 1 long; nothing is cached."""
+    out = []
     stack = [t]
     while stack:
         u = stack.pop()
-        ends.append(len(ends) + 2 * u.size + 1)
-        if type(u) is Node:
-            stack += (u.right, u.left)
-    return ends
+        # down the left spine; each right child waits on the stack
+        while type(u) is Node:
+            out.append(u)
+            stack.append(u.right)
+            u = u.left
+        out.append(u)
+    return out
+
+
+def subtree_ends(t: Term) -> list:
+    """For the i-th position of t in positions(t) order, the index just past
+    its subtree: i + 2*Siz + 1."""
+    return [i + 2 * u.size + 1 for i, u in enumerate(preorder(t))]
 
 
 def prefix_minimal(ps) -> list:
@@ -267,11 +277,6 @@ def var_set(t: Term):
 def max_var_index(*terms: Term) -> int:
     """Largest variable index occurring in any of the terms (0 if none given)."""
     return max((max(variables(t)) for t in terms), default=0)
-
-
-def fresh_var_index(*terms: Term) -> int:
-    """max index in scope + 1; the x_{n+1} convention."""
-    return max_var_index(*terms) + 1
 
 
 def subterm_set(t: Term):
@@ -357,7 +362,34 @@ def rename_canonical(t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# the array encoding
+# flat codes and the array encoding
+#
+# A term's flat code is its preorder as a tuple: 0 for each f and i for each
+# x_i.  Codes are equal iff the terms are, and the subterm at each position
+# is one contiguous slice, so a term can be rewritten by splicing slices
+# without building or interning terms (Christian, "Flatterms, discrimination
+# nets, and fast term rewriting", J. Automated Reasoning 10, 1993).
+
+
+def flat_code(t: Term) -> tuple:
+    return tuple(0 if type(u) is Node else u.index for u in preorder(t))
+
+
+def from_flat_code(code) -> Term:
+    # right to left, each f finds its left child on top of the stack
+    stack = []
+    for c in reversed(code):
+        stack.append(Var(c) if c else Node(stack.pop(), stack.pop()))
+    return stack[0]
+
+
+def code_ends(code) -> list:
+    """end[k]: the index just past the subterm that starts at k.  A node's
+    right child starts where its left child, at k + 1, ends."""
+    end = [0] * len(code)
+    for k in range(len(code) - 1, -1, -1):
+        end[k] = k + 1 if code[k] else end[end[k + 1]]
+    return end
 
 
 @dataclass(frozen=True)
@@ -395,13 +427,10 @@ def from_arrays(a: TermArrays) -> Term:
         raise MalformedArraysError(
             f"{is_node.count(False)} leaves but {len(a.var_indexes)} variable indexes"
         )
-    # children follow their parent, so a reverse scan builds both children of
-    # a node before the node itself, and meets the leaves right to left
-    indexes = list(a.var_indexes)
-    stack = []
-    for node in reversed(is_node):
-        stack.append(Node(stack.pop(), stack.pop()) if node else Var(indexes.pop()))
-    return stack[0]
+    if 0 in a.var_indexes:  # a flat code reads 0 as an f
+        raise MalformedArraysError("variable indexes start at 1, got 0")
+    indexes = iter(a.var_indexes)
+    return from_flat_code([0 if node else next(indexes) for node in is_node])
 
 
 # ---------------------------------------------------------------------------

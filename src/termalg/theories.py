@@ -26,11 +26,15 @@ from .terms import (
     Node,
     Term,
     Var,
+    code_ends,
     enumerate_terms_by_length,
+    flat_code,
     fold_term,
+    from_flat_code,
     max_var_index,
     parse_term,
     positions,
+    preorder,
     rename_canonical,
     replace_at,
     subterm_at,
@@ -103,13 +107,6 @@ class DistinctCanonicalKeys:
 
     left_key: str
     right_key: str
-
-
-@dataclass(frozen=True)
-class ExhaustedBounds:
-    max_model_size: int
-    max_deduction_term_size: int
-    max_deduction_steps: int
 
 
 @dataclass(frozen=True)
@@ -514,19 +511,11 @@ class Theory:
         return key
 
     def key_vector(self, t: Term) -> tuple:
-        """The canonical keys of t's subterms, in positions(t) order (exact
+        """The canonical keys of ``preorder(t)``, in positions(t) order (exact
         theories only), where a subtree is one block (``subtree_ends``)."""
         got = self._key_vectors.get(t)
         if got is None:
-            key = self._cached_key
-            out = []
-            stack = [t]
-            while stack:
-                u = stack.pop()
-                out.append(key(u))
-                if type(u) is Node:
-                    stack += (u.right, u.left)
-            got = self._key_vectors[t] = tuple(out)
+            got = self._key_vectors[t] = tuple(map(self._cached_key, preorder(t)))
         return got
 
     def _equal_bounded(self, t, s):
@@ -548,14 +537,7 @@ class Theory:
                 REFUTED,
                 DistinctCanonicalKeys(repr(self._cached_key(t)), repr(self._cached_key(s))),
             )
-        return Verdict(
-            UNKNOWN,
-            ExhaustedBounds(
-                self.config.max_model_size,
-                self.config.max_deduction_term_size,
-                self.config.max_deduction_steps,
-            ),
-        )
+        return Verdict(UNKNOWN, self.config)  # the bounds it exhausted
 
     def _proof_certificate(self, t, s):
         if t == s:
@@ -602,15 +584,6 @@ class Theory:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
-
-    def _ident(self):
-        return (type(self).__name__, self.name, self.config)
-
-    def __eq__(self, other):
-        return isinstance(other, Theory) and other._ident() == self._ident()
-
-    def __hash__(self):
-        return hash(self._ident())
 
 
 _MAX_SCANNED_TABLES = 4_000_000  # 3**9 tables fit; 4**16 never finishes
@@ -794,7 +767,7 @@ class AxiomsTheory(Theory):
         max_deduction_term_size are dropped.
         """
         out = []
-        end = _extents(code)
+        end = code_ends(code)
         n = len(code)
         # the largest replacement that keeps the result within the cap is
         # room = cap - Siz(term) + Siz(subterm); Siz of a code is (len - 1) / 2
@@ -850,7 +823,7 @@ class AxiomsTheory(Theory):
             return (t,)
         steps = 0
         limit = self.config.max_deduction_steps
-        a, b = _flat_code(t), _flat_code(s)
+        a, b = flat_code(t), flat_code(s)
         side_a, side_b = {a: (a,)}, {b: (b,)}
         frontier_a, frontier_b = deque([a]), deque([b])
         while frontier_a and frontier_b and steps < limit:
@@ -870,7 +843,7 @@ class AxiomsTheory(Theory):
                     seen[n] = seen[u] + (n,)
                     if n in other:
                         path = side_a[n] + side_b[n][-2::-1]
-                        return tuple(_from_flat_code(c) for c in path)
+                        return tuple(from_flat_code(c) for c in path)
                     frontier.append(n)
         return None
 
@@ -912,44 +885,7 @@ class GroupoidSingleRuleTheory(AxiomsTheory):
         return None
 
 
-# --- flat codes for the bounded proof search -----------------------------------
-#
-# A term's flat code is its left-first preorder as a tuple: 0 for each f and i
-# for each x_i.  Codes are equal iff the terms are, and the subterm at each
-# position is one contiguous slice, so a neighbour is built by splicing one
-# slice without building or interning terms (Christian, "Flatterms,
-# discrimination nets, and fast term rewriting", J. Automated Reasoning 10,
-# 1993).
-
-
-def _flat_code(t: Term) -> tuple:
-    out = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if type(u) is Node:
-            out.append(0)
-            stack += (u.right, u.left)
-        else:
-            out.append(u.index)
-    return tuple(out)
-
-
-def _from_flat_code(code) -> Term:
-    # right to left, each f finds its left child on top of the stack
-    stack = []
-    for c in reversed(code):
-        stack.append(Var(c) if c else Node(stack.pop(), stack.pop()))
-    return stack[0]
-
-
-def _extents(code) -> list:
-    """end[k]: the index just past the subterm that starts at k.  A node's
-    right child starts where its left child, at k + 1, ends."""
-    end = [0] * len(code)
-    for k in range(len(code) - 1, -1, -1):
-        end[k] = k + 1 if code[k] else end[end[k + 1]]
-    return end
+# --- flat-code rules for the bounded proof search ----------------------------
 
 
 def _flat_rule(src: Term, dst: Term):
@@ -957,10 +893,10 @@ def _flat_rule(src: Term, dst: Term):
     template, with (0,) for each f and a variable index to fill; dst's
     variables with multiplicity; Siz(dst); and dst's variables that src
     lacks, sorted."""
-    template = tuple(c or (0,) for c in _flat_code(dst))
+    template = tuple(c or (0,) for c in flat_code(dst))
     dst_vars = variables(dst)
     missing = tuple(sorted(set(dst_vars) - set(variables(src))))
-    return _flat_code(src), template, dst_vars, dst.size, missing
+    return flat_code(src), template, dst_vars, dst.size, missing
 
 
 def _replacement_pool(code, end) -> list:

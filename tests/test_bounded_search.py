@@ -11,7 +11,9 @@ import pytest
 from termalg.terms import (
     Node,
     Var,
-    fresh_var_index,
+    flat_code,
+    from_flat_code,
+    max_var_index,
     parse_term,
     positions,
     random_term,
@@ -24,8 +26,6 @@ from termalg.theories import (
     AxiomsTheory,
     Identity,
     OracleConfig,
-    _flat_code,
-    _from_flat_code,
     match_pattern,
 )
 
@@ -76,7 +76,7 @@ def ref_plug(context, s):
 def ref_neighbors(thy, t):
     out = []
     cap = thy.config.max_deduction_term_size
-    pool = [Var(i) for i in sorted(var_set(t))[:3] + [fresh_var_index(t)]]
+    pool = [Var(i) for i in sorted(var_set(t))[:3] + [max_var_index(t) + 1]]
     # the three smallest distinct composite subterms; of equal size, the one
     # that comes first in the preorder goes first
     firsts = dict.fromkeys(subterm_at(t, p) for p in positions(t))
@@ -132,17 +132,7 @@ def ref_bfs_prove(thy, t, s):
 
 
 def neighbors(thy, t):
-    return [_from_flat_code(code) for code in thy._neighbors(_flat_code(t))]
-
-
-# --- flat codes ------------------------------------------------------------------
-
-
-def test_flat_code_round_trips():
-    for t in seeded_terms(0, 200):
-        code = _flat_code(t)
-        assert len(code) == 2 * t.size + 1
-        assert _from_flat_code(code) is t
+    return [from_flat_code(code) for code in thy._neighbors(flat_code(t))]
 
 
 # --- neighbour sequences -----------------------------------------------------------

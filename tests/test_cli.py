@@ -153,6 +153,30 @@ class TestEquiv:
         assert doc["certificate"]["kind"] == "counter-model"
         assert doc["certificate"]["size"] <= 3
 
+    def test_unknown_json_names_the_exhausted_bounds(self, capsys, tmp_path):
+        path = tmp_path / "commutative.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "axioms",
+                    "axioms": [{"lhs": "f(x1,x2)", "rhs": "f(x2,x1)"}],
+                    "oracle": {"maxDeductionTermSize": 6, "maxDeductionSteps": 2},
+                }
+            )
+        )
+        code, doc, _ = invoke_json(
+            capsys, "equiv", "--theory-file", str(path), "--max-model-size", "2",
+            "f(f(f(x1,x2),x3),f(x4,x5))", "f(f(x5,x4),f(x3,f(x2,x1)))",
+        )
+        assert code == 0
+        assert doc["outcome"] == "unknown"
+        assert doc["certificate"] == {
+            "kind": "exhausted-bounds",
+            "maxModelSize": 2,
+            "maxDeductionTermSize": 6,
+            "maxDeductionSteps": 2,
+        }
+
 
 class TestPositionsCommands:
     def test_essential(self, capsys):

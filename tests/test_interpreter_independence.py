@@ -25,8 +25,8 @@ import sys
 from termalg.deduction import ClosureBounds, SweepBounds, bounded_closure, check_stability
 from termalg.essentiality import essential_subterms
 from termalg.errors import UndecidedError
-from termalg.terms import Node, Var, parse_term, random_term, term_to_text
-from termalg.theories import AxiomsTheory, Identity, OracleConfig, _flat_code
+from termalg.terms import Node, Var, flat_code, parse_term, random_term, term_to_text
+from termalg.theories import AxiomsTheory, Identity, OracleConfig
 
 padding = [Node(Var(100 + i), Var(100)) for i in range(int(sys.argv[1]))]
 
@@ -47,7 +47,7 @@ rng = random.Random(13)
 for axiom in ("f(f(x1,x2),x1)=f(x2,x2)", "f(f(x4,x5),x6)=f(x4,f(x5,x3))"):
     thy = theory(axiom)
     for _ in range(30):
-        code = _flat_code(random_term(rng, 4, rng.randint(1, 4), leaf_prob=0.3))
+        code = flat_code(random_term(rng, 4, rng.randint(1, 4), leaf_prob=0.3))
         print(axiom, code, thy._neighbors(code))
 
 # essential_subterms under bounds that leave some of its questions Unknown:

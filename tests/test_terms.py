@@ -13,11 +13,13 @@ from termalg.errors import InvalidPositionError, MalformedArraysError, ParseErro
 from termalg.terms import (
     Node,
     Var,
+    code_ends,
     enumerate_terms,
     enumerate_terms_by_length,
+    flat_code,
     fold_term,
     from_arrays,
-    fresh_var_index,
+    from_flat_code,
     max_var_index,
     parse_position,
     parse_term,
@@ -25,6 +27,7 @@ from termalg.terms import (
     positions,
     prefix_leq,
     prefix_minimal,
+    preorder,
     proper_prefix,
     random_term,
     rename_canonical,
@@ -242,11 +245,9 @@ class TestValuations:
 
     def test_variables_order(self):
         assert variables(SAMPLE) == (3, 1, 2, 2)
-
-    def test_fresh_var_index(self):
-        assert fresh_var_index(SAMPLE) == 4
-        assert fresh_var_index() == 1
+        assert max_var_index(SAMPLE) == 3
         assert max_var_index(Var(2), Var(7)) == 7
+        assert max_var_index() == 0
 
     def test_subterm_set(self):
         assert subterm_set(parse_term("f(x1,x1)")) == {parse_term("f(x1,x1)"), Var(1)}
@@ -308,6 +309,27 @@ class TestArrays:
 
         with pytest.raises(MalformedArraysError):
             from_arrays(TermArrays(((), (1,), (2,)), (1,)))
+
+    def test_zero_index_rejected(self):
+        from termalg.terms import TermArrays
+
+        with pytest.raises(MalformedArraysError):
+            from_arrays(TermArrays(((), (1,), (2,)), (1, 0)))
+
+
+def test_one_preorder_layout():
+    """preorder, flat codes, subtree ends and the arrays read one layout."""
+    rng = random.Random(14)
+    depth = TestDeepTerms.DEPTH
+    chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+    for t in [random_term(rng, 6, 4) for _ in range(200)] + [chain]:
+        pos, subterms = positions(t), preorder(t)
+        assert len(pos) == len(subterms) == 2 * t.size + 1
+        assert all(u is subterm_at(t, p) for p, u in zip(pos, subterms))
+        code = flat_code(t)
+        assert from_flat_code(code) is t
+        assert code_ends(code) == subtree_ends(t)
+        assert from_arrays(to_arrays(t)) is t
 
 
 class TestTextSyntax:
