@@ -32,8 +32,6 @@ from .terms import (
     Node,
     parse_term,
     position_to_text,
-    positions,
-    preorder,
     term_to_text,
     to_arrays,
 )
@@ -238,19 +236,22 @@ def _cmd_arrays(args):
 def emit_dot(t) -> str:
     """DOT digraph of the term tree: node ids are position strings, internal
     nodes labeled f, leaves labeled x<i>, edges ordered left-then-right."""
+    root = position_to_text(())
     nodes, edges = [], []
-    # digits[d]: the digits of the last position visited at depth d, which in
-    # preorder is the parent of the next one at depth d + 1; each edge is
-    # listed when its child is visited
-    digits = []
-    for p, u in zip(positions(t), preorder(t)):
-        del digits[len(p) :]
-        digits.append(digits[-1] + str(p[-1]) if p else "")
-        pid = digits[-1] or position_to_text(())
-        if p:
-            edges.append(f'  "{digits[-2] or position_to_text(())}" -> "{pid}";')
-        label = "f" if isinstance(u, Node) else f"x{u.index}"
-        nodes.append(f'  "{pid}" [label="{label}"];')
+    # a preorder walk; each node carries its parent's id and its own digits,
+    # and its edge is listed when it is visited
+    stack = [(t, None, "")]
+    while stack:
+        u, parent, digits = stack.pop()
+        pid = digits or root
+        if parent is not None:
+            edges.append(f'  "{parent}" -> "{pid}";')
+        if type(u) is Node:
+            stack.append((u.right, pid, digits + "2"))
+            stack.append((u.left, pid, digits + "1"))
+            nodes.append(f'  "{pid}" [label="f"];')
+        else:
+            nodes.append(f'  "{pid}" [label="x{u.index}"];')
     return "\n".join(["digraph term {"] + nodes + edges + ["}"])
 
 

@@ -1,11 +1,20 @@
 """Essential and fictive positions, variables and subterms of a term.
 
 A position p is fictive in t with respect to a theory when the theory proves
-t(p; x_a) = t(p; x_b) for two fresh distinct variables.  Fictive positions are
-upward-closed under extension, which the computation exploits: descendants of
-a fictive position are classified without queries.  A variable x_i is fictive
-when t is provably unchanged by renaming x_i to a fresh variable; only
+t[p <- x_a] = t[p <- x_b] for two fresh distinct variables.  Fictive positions
+are upward-closed under extension, which the computation exploits: descendants
+of a fictive position are classified without queries.  A variable x_i is
+fictive when t is provably unchanged by renaming x_i to a fresh variable; only
 ``variable_verdicts`` asks about variables, and it keeps no memo.
+
+An exact theory is asked the one-plant question t[p <- x] = t instead, with x
+fresh; it has the same answer.  Let x_a, x_b not occur in t.  If
+t[p <- x_a] = t[p <- x_b] is derivable, substituting x_b |-> t|p gives
+t[p <- x_a] = t.  If t[p <- x_a] = t is derivable, substituting x_a |-> x_b
+gives t[p <- x_b] = t, and transitivity gives the pair.  An exact key names a
+congruence class, so the key of t, already cached, answers the question after
+one planted term is keyed.  A bounded theory keeps asking the pair: refutation
+treats both shapes alike, but the bounded proof search does not.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
 def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
     n = max_var_index(t)
     xa, xb = Var(n + 1), Var(n + 2)
+    exact = theory.exact
 
     pos, ends = positions(t), subtree_ends(t)
     ess_p, fic_p, und_p = set(), set(), set()
@@ -74,7 +84,8 @@ def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
     i = 0
     while i < len(pos):
         p = pos[i]
-        verdict = theory.equal(replace_at(t, p, xa), replace_at(t, p, xb))
+        # an exact theory answers t[p <- xa] = t as it would the pair (above)
+        verdict = theory.equal(replace_at(t, p, xa), t if exact else replace_at(t, p, xb))
         # extensions of fictive positions are fictive (monotone structure), so
         # a fictive position classifies its whole block of the preorder
         end = ends[i] if verdict is True else i + 1

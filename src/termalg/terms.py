@@ -493,8 +493,12 @@ def parse_term(text: str) -> Term:
     return term
 
 
+# the digit bytes of a position (1 and 2 as bytes 1 and 2) to their text
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def position_to_text(p: Position) -> str:
-    return "e" if not p else "".join(str(d) for d in p)
+    return "e" if not p else bytes(p).translate(_DIGIT_TEXT).decode()
 
 
 def parse_position(text: str) -> Position:

@@ -128,16 +128,24 @@ class TestReport:
         assert all(t not in query for query in thy.queries)
 
 
+# each axiom has the same variables on both sides, so a variable planted
+# anywhere stays in every equal term: no position is ever fictive
+REGULAR_THEORIES = ("idempotent", "commutative", "assoc")
+
+
 @pytest.mark.parametrize(
     "name",
     (
+        *REGULAR_THEORIES,
         *(f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
         "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",  # Σ2
         "grp-rule:f(f(x1,x2),x3)=f(x2,x1)",  # node-collapse
     ),
 )
 def test_report_matches_the_reference(name):
+    # every exact decider's one-plant question against the reference's pair
     thy = shared_theory(name)
+    assert thy.exact
     rng = random.Random(6)
     fictive = 0
     for _ in range(40):
@@ -145,7 +153,7 @@ def test_report_matches_the_reference(name):
         got = _compute_report(t, thy)
         assert got == ref_compute_report(t, thy), t
         fictive += bool(got.fictive_positions)
-    assert fictive > 0
+    assert fictive > 0 or name in REGULAR_THEORIES
 
 
 class TestVariableVerdicts:

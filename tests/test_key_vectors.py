@@ -20,17 +20,19 @@ from termalg.essentiality import _compute_report, decided_report
 from termalg.reduction import ReduciblePair, reducible_pairs, removable_positions
 from termalg.terms import (
     Var,
+    max_var_index,
     parse_term,
     positions,
     prefix_leq,
     proper_prefix,
     random_term,
+    replace_at,
     subterm_at,
 )
 from termalg.theories import AxiomsTheory, Identity, OracleConfig
 
 from conftest import shared_theory
-from test_essentiality import ref_compute_report
+from test_essentiality import REGULAR_THEORIES, ref_compute_report
 from test_reduction import ref_removable_positions
 
 EXACT_THEORIES = (
@@ -192,6 +194,23 @@ class TestReadersMatchTheReferences:
             r = subterm_at(t, rng.choice(positions(t)))
             assert sigma_compose(t, r, U, thy) is ref_sigma_compose(t, r, U, thy), (t, r)
             assert star_compose(t, r, U, thy) is ref_star_compose(t, r, U, thy), (t, r)
+
+    def test_essentiality_asks_one_plant_per_position(self, name):
+        # equal(t[p <- x_{n+1}], t) per position in preorder, and none for the
+        # positions below the first of a fictive block
+        thy = shared_theory(name)
+        skipped = 0
+        for t in seeded_terms(27, 30):
+            asked, report = questions(thy, lambda: _compute_report(t, thy))
+            x = Var(max_var_index(t) + 1)
+            expected = [
+                (replace_at(t, p, x), t)
+                for p in positions(t)
+                if not any(p[:k] in report.fictive_positions for k in range(len(p)))
+            ]
+            assert asked == expected, t
+            skipped += len(positions(t)) - len(expected)
+        assert (skipped > 0) == (name not in REGULAR_THEORIES)
 
 
 # --- bounded theories keep asking the oracle, in the same order -----------------

@@ -350,6 +350,14 @@ class TestTextSyntax:
         with pytest.raises(ParseError):
             parse_position("13")
 
+    def test_position_text_round_trip(self):
+        rng = random.Random(14)
+        for length in [0, 1, 2, 3000, *(rng.randint(0, 60) for _ in range(300))]:
+            p = tuple(rng.choice((1, 2)) for _ in range(length))
+            text = position_to_text(p)
+            assert text == ("".join(map(str, p)) or "e")
+            assert parse_position(text) == p
+
     @given(terms_strategy())
     def test_parse_print_round_trip(self, t):
         assert parse_term(term_to_text(t)) == t
