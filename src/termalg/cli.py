@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .compose import sigma_compose, sigma_position_sets, star_compose
+from .compose import sigma_compose, sigma_match_positions, sigma_position_sets, star_compose
 from .deduction import SweepBounds, certificate_to_json, check_stability
 from .errors import TermAlgError
 from .essentiality import essentiality_report, variable_verdicts
@@ -30,8 +30,11 @@ from .reduction import (
 from .scenarios import run_all
 from .terms import (
     Node,
+    outermost,
     parse_term,
     position_to_text,
+    positions,
+    preorder,
     term_to_text,
     to_arrays,
 )
@@ -139,17 +142,19 @@ def _cmd_essential(args):
 def _cmd_compose(args):
     theory = _theory_of(args)
     t, r, u = parse_term(args.term), parse_term(args.pattern), parse_term(args.replacement)
-    sets = sigma_position_sets(t, r, theory)
+    # no essentiality report: none is printed, and a bounded one may be undecided
+    matches, pos = sigma_match_positions(t, r, theory), positions(t)
+    minimal = [pos[i] for i in outermost(preorder(t), [p in matches for p in pos])]
     result = sigma_compose(t, r, u, theory)
     payload = {
         "result": term_to_text(result),
-        "allMatches": _positions_json(sets.all_matches),
-        "minimal": _positions_json(sets.minimal),
+        "allMatches": _positions_json(matches),
+        "minimal": _positions_json(minimal),
     }
     lines = [
         term_to_text(result),
-        f"matches: {_positions_text(sets.all_matches)}",
-        f"minimal: {_positions_text(sets.minimal)}",
+        f"matches: {_positions_text(matches)}",
+        f"minimal: {_positions_text(minimal)}",
     ]
     return _emit(args, payload, lines)
 

@@ -11,13 +11,14 @@
   positions.
 
 Replacement position sets are always computed on the input term first and
-rewritten in one pass; nothing cascades.
+rewritten in one pass; nothing cascades.  Inside, a position is its index in
+the term's preorder, a subtree the block of indexes below it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import IncomparablePositionsError, NestedPatternsError
 from .essentiality import decided_report
@@ -25,12 +26,13 @@ from .terms import (
     Node,
     Term,
     fold_term,
+    outermost,
     position_to_text,
     positions,
     prefix_leq,
-    prefix_minimal,
     preorder,
     replace_at,
+    splice,
     subterm_at,
     subterm_set,
 )
@@ -103,45 +105,40 @@ class SigmaPositionSets:
     essential_minimal: frozenset
 
 
-def sigma_match_positions(t: Term, r: Term, theory: Theory) -> frozenset:
-    """All positions of subterms of t the theory proves equal to r.
-
-    An exact theory compares keys: it reads t's key vector against key(r).
-    """
+def _match_flags(t: Term, r: Term, theory: Theory, subterms) -> list:
+    """One flag per subterm of t in preorder: does the theory prove it equal
+    to r?  An exact theory reads t's key vector against key(r); a bounded one
+    is asked about each subterm in preorder."""
     if theory.exact:
         key = theory._cached_key(r)
-        return frozenset(p for p, k in zip(positions(t), theory.key_vector(t)) if k == key)
-    return frozenset(p for p, u in zip(positions(t), preorder(t)) if theory.holds(u, r))
+        return [k == key for k in theory.key_vector(t)]
+    return [theory.holds(u, r) for u in subterms]
 
 
-def _subtree_positions(t: Term, p) -> tuple:
-    """The positions of t at or below p: a slice, 2*Siz + 1 long, of positions(t)."""
-    pos = positions(t)
-    i = bisect_left(pos, p)
-    return pos[i : i + 2 * subterm_at(t, p).size + 1]
+def _essential_starts(t: Term, theory: Theory, subterms, starts) -> list:
+    """The starts whose block of the preorder holds no fictive position."""
+    verdicts = decided_report(t, theory).verdicts
+    return [i for i in starts if True not in verdicts[i : i + 2 * subterms[i].size + 1]]
+
+
+def sigma_match_positions(t: Term, r: Term, theory: Theory) -> frozenset:
+    """All positions of subterms of t the theory proves equal to r."""
+    return frozenset(compress(positions(t), _match_flags(t, r, theory, preorder(t))))
 
 
 def sigma_position_sets(t: Term, r: Term, theory: Theory) -> SigmaPositionSets:
-    matches = sigma_match_positions(t, r, theory)
-
-    essential = decided_report(t, theory).essential_positions
-    minimal = prefix_minimal(matches)
-    essential_minimal = frozenset(
-        p for p in minimal if essential.issuperset(_subtree_positions(t, p))
-    )
-    return SigmaPositionSets(matches, frozenset(minimal), essential_minimal)
-
-
-def _replace_each(t: Term, entries, u: Term) -> Term:
-    """t with u at each of the pairwise incomparable positions entries."""
-    for p in entries:
-        t = replace_at(t, p, u)
-    return t
+    pos, subterms = positions(t), preorder(t)
+    flags = _match_flags(t, r, theory, subterms)
+    minimal = outermost(subterms, flags)
+    essential = _essential_starts(t, theory, subterms, minimal)
+    sets = [frozenset(pos[i] for i in indexes) for indexes in (minimal, essential)]
+    return SigmaPositionSets(frozenset(compress(pos, flags)), *sets)
 
 
 def sigma_compose(t: Term, r: Term, u: Term, theory: Theory) -> Term:
     """Replace u at the prefix-minimal positions of subterms equal to r."""
-    return _replace_each(t, prefix_minimal(sigma_match_positions(t, r, theory)), u)
+    subterms = preorder(t)
+    return splice(subterms, outermost(subterms, _match_flags(t, r, theory, subterms)), u)
 
 
 def star_compose(t: Term, r: Term, s: Term, theory: Theory) -> Term:
@@ -155,4 +152,6 @@ def star_compose(t: Term, r: Term, s: Term, theory: Theory) -> Term:
     """
     if theory.holds(t, r):
         return s
-    return _replace_each(t, sigma_position_sets(t, r, theory).essential_minimal, s)
+    subterms = preorder(t)
+    minimal = outermost(subterms, _match_flags(t, r, theory, subterms))
+    return splice(subterms, _essential_starts(t, theory, subterms, minimal), s)

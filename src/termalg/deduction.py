@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 from .algebras import eval_term, satisfies
 from .compose import sigma_compose, star_compose
 from .errors import BoundsError, SideConditionError, UndecidedError
-from .essentiality import essential_positions, is_essential_subterm
+from .essentiality import decided_report, is_essential_subterm
 from .terms import (
     Node,
     Term,
     Var,
     enumerate_terms,
     max_var_index,
-    positions,
     preorder,
     replace_at,
     subterm_at,
@@ -257,7 +256,7 @@ def _essential_subterm_reps(t, s, theory):
 
 # --- stability sweeps ---------------------------------------------------------
 
-# the most terms an exact sweep enumerates: it keeps about 2.5 KB per term
+# the most terms an exact sweep enumerates: it keeps 1.5-2.5 KB per term
 MAX_EXACT_SWEEP_TERMS = 250_000
 
 
@@ -408,30 +407,33 @@ def _compose_for(mode):
 
 def _sweep_exact(theory, mode, bounds, report, u):
     compose = _compose_for(mode)
+    # every subterm of an enumerated term is enumerated, so one sort ranks them
+    # all; buckets filled in rank order come in order and list members in order
+    ranked = sorted(enumerate_terms(bounds.max_depth, bounds.max_vars), key=term_sort_key)
+    rank = {t: i for i, t in enumerate(ranked)}
     buckets = {}
-    for t in enumerate_terms(bounds.max_depth, bounds.max_vars):
+    for t in ranked:
         buckets.setdefault(theory._cached_key(t), []).append(t)
 
-    for key in sorted(buckets, key=lambda k: term_sort_key(min(buckets[k], key=term_sort_key))):
-        members = sorted(buckets[key], key=term_sort_key)
+    for members in buckets.values():
         if len(members) < 2:
             continue
         # essential-subterm classes per member, keyed by canonical form
         rep_for_class = {}
         classes_of = {}
         for t in members:
-            essential = essential_positions(t, theory)
+            verdicts = decided_report(t, theory).verdicts
             keys = set()
-            for p, sub, sub_key in zip(positions(t), preorder(t), theory.key_vector(t)):
-                if p not in essential:
+            for sub, sub_key, fictive in zip(preorder(t), theory.key_vector(t), verdicts):
+                if fictive:
                     continue
                 keys.add(sub_key)
                 prior = rep_for_class.get(sub_key)
-                if prior is None or term_sort_key(sub) < term_sort_key(prior):
+                if prior is None or rank[sub] < rank[prior]:
                     rep_for_class[sub_key] = sub
             classes_of[t] = keys
 
-        for sub_key in sorted(rep_for_class, key=lambda k: term_sort_key(rep_for_class[k])):
+        for sub_key in sorted(rep_for_class, key=lambda k: rank[rep_for_class[k]]):
             r = rep_for_class[sub_key]
             group = [t for t in members if sub_key in classes_of[t]]
             if len(group) < 2:

@@ -43,12 +43,14 @@ class EssentialityReport:
     """The positions of a term, each classified essential, fictive or undecided.
 
     Positions do not change when variables are renamed, so one report serves
-    every term in a renaming class.
+    every term in a renaming class.  verdicts lists them by preorder index:
+    False for essential, True for fictive, None for undecided.
     """
 
     essential_positions: frozenset
     fictive_positions: frozenset
     undecided_positions: frozenset
+    verdicts: tuple
 
     @property
     def decided(self):
@@ -79,9 +81,8 @@ def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
     exact = theory.exact
 
     pos, ends = positions(t), subtree_ends(t)
-    ess_p, fic_p, und_p = set(), set(), set()
-    by_verdict = {False: ess_p, True: fic_p, None: und_p}
-    i = 0
+    by_verdict = {False: set(), True: set(), None: set()}  # essential, fictive, undecided
+    verdicts, i = [], 0
     while i < len(pos):
         p = pos[i]
         # an exact theory answers t[p <- xa] = t as it would the pair (above)
@@ -90,8 +91,9 @@ def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
         # a fictive position classifies its whole block of the preorder
         end = ends[i] if verdict is True else i + 1
         by_verdict[verdict].update(pos[i:end])
+        verdicts += [verdict] * (end - i)
         i = end
-    return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p))
+    return EssentialityReport(*map(frozenset, by_verdict.values()), tuple(verdicts))
 
 
 def variable_verdicts(t: Term, theory: Theory):
@@ -101,16 +103,10 @@ def variable_verdicts(t: Term, theory: Theory):
     it refutes that identity, and undecided otherwise.  Nothing is cached.
     """
     fresh = Var(max_var_index(t) + 1)
-    ess_v, fic_v, und_v = set(), set(), set()
+    by_verdict = {False: set(), True: set(), None: set()}  # essential, fictive, undecided
     for i in sorted(var_set(t)):
-        verdict = theory.equal(t, substitute(t, {i: fresh}))
-        if verdict is True:
-            fic_v.add(i)
-        elif verdict is False:
-            ess_v.add(i)
-        else:
-            und_v.add(i)
-    return frozenset(ess_v), frozenset(fic_v), frozenset(und_v)
+        by_verdict[theory.equal(t, substitute(t, {i: fresh}))].add(i)
+    return tuple(map(frozenset, by_verdict.values()))
 
 
 def decided_report(t: Term, theory: Theory) -> EssentialityReport:
@@ -137,9 +133,9 @@ def essential_subterms(t: Term, theory: Theory) -> set:
     t's distinct subterms in preorder, each against the essential subterms
     in the order of their positions.
     """
-    essential = essential_positions(t, theory)
     subterms = preorder(t)
-    at_essential = dict.fromkeys(u for p, u in zip(positions(t), subterms) if p in essential)
+    verdicts = decided_report(t, theory).verdicts
+    at_essential = dict.fromkeys(u for u, fictive in zip(subterms, verdicts) if not fictive)
     return {
         u
         for u in dict.fromkeys(subterms)

@@ -23,9 +23,10 @@ from .essentiality import decided_report
 from .terms import (
     Position,
     Term,
+    outermost,
     position_to_text,
     positions,
-    prefix_minimal,
+    preorder,
     proper_prefix,
     replace_at,
     subterm_at,
@@ -122,9 +123,7 @@ def _outermost_pairs_by_key(t: Term, theory: Theory) -> set:
     vector of an exact theory as index ranges."""
     keys = theory.key_vector(t)
     ends = subtree_ends(t)
-    pos = positions(t)
-    pairs = set()
-    i = 0
+    pairs, i = [], 0
     while i < len(keys):
         key, end = keys[i], ends[i]
         if key not in keys[i + 1 : end]:
@@ -135,9 +134,10 @@ def _outermost_pairs_by_key(t: Term, theory: Theory) -> set:
         tails = [j for j in range(i + 1, end) if keys[j] == key]
         for j, after in zip(tails, tails[1:] + [end]):
             if after >= ends[j]:
-                pairs.add(ReduciblePair(pos[i], pos[j]))
+                pairs.append((i, j))
         i = end  # the positions below a head are no outermost heads
-    return pairs
+    pos = positions(t) if pairs else ()
+    return {ReduciblePair(pos[i], pos[j]) for i, j in pairs}
 
 
 def _outermost_pairs(t: Term, theory: Theory) -> set:
@@ -171,7 +171,8 @@ def _sibling(x: Position) -> Position:
 
 def _minimal_fictive_desc(u: Term, theory: Theory) -> list:
     # descending, so that the smallest position's sibling is visited first
-    return [x for x in reversed(prefix_minimal(decided_report(u, theory).fictive_positions)) if x]
+    pos, minimal = positions(u), outermost(preorder(u), decided_report(u, theory).verdicts)
+    return [pos[i] for i in reversed(minimal) if i]
 
 
 def removable_positions(t: Term, theory: Theory) -> frozenset:

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .compose import sigma_compose, sigma_position_sets, star_compose
+from .deduction import ClosureBounds, SweepBounds, bounded_closure, check_stability
 from .errors import UndecidedError
 from .essentiality import essential_positions, essentiality_report
 from .reduction import er
@@ -285,8 +286,6 @@ def _lemma_6_2_er_compose():
 
 
 def _mini_sweep(theory, mode, bounds):
-    from .deduction import check_stability
-
     report = check_stability(theory, mode, bounds)
     checks = [("violations", len(report.violations), 0)]
     if not report.exhaustive:
@@ -295,41 +294,29 @@ def _mini_sweep(theory, mode, bounds):
 
 
 def _thm_5_1_sweep():
-    from .deduction import SweepBounds
-
     return _mini_sweep(theory_from_name("idempotent"), "SigmaR1", SweepBounds(2, 2, 1))
 
 
 def _thm_5_2_sweep():
-    from .deduction import SweepBounds
-
     return _mini_sweep(theory_from_name("commutative"), "SigmaR1", SweepBounds(2, 2, 1))
 
 
 def _thm_5_3_sweep():
-    from .deduction import SweepBounds
-
     axiom = Identity(_t("f(f(x1,x2),x1)"), _t("f(x1,x1)"))
     thy = AxiomsTheory((axiom,), name="axioms:" + axiom.text())
     return _mini_sweep(thy, "SigmaR1", SweepBounds(2, 2, 1))
 
 
 def _lemma_3_1_sweep():
-    from .deduction import SweepBounds
-
     return _mini_sweep(theory_from_name("sg-abs-1-2"), "SigmaR1", SweepBounds(2, 3, 1))
 
 
 def _thm_6_2_sweep():
-    from .deduction import SweepBounds
-
     thy = theory_from_name("grp-rule:f(f(x1,x2),x3)=f(x1,x2)")
     return _mini_sweep(thy, "SR1", SweepBounds(2, 3, 1))
 
 
 def _closure_d5():
-    from .deduction import ClosureBounds, bounded_closure
-
     axiom = Identity(_t("f(x1,x1)"), _t("x1"))
     derived = bounded_closure(
         (axiom,), bounds=ClosureBounds(max_term_length=4, max_vars=2, max_rounds=3)

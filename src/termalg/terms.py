@@ -10,11 +10,12 @@ that same object, so equality and hashing are by identity (Filliâtre &
 Conchon, "Type-Safe Modular Hash-Consing", 2006).  The intern tables hold
 their terms weakly and forget a term when it dies.  A hash is an address,
 so the iteration order of a set of terms differs between runs; no result
-may depend on it.  ``variables`` and ``positions`` are computed once per
-term, when first asked.  ``preorder`` lists a term's subterms in
-``positions`` order; subtree blocks, flat codes and the array decoding are
-read off that one layout.  Every traversal here runs without recursion, so
-deep terms do not exhaust the interpreter stack.
+may depend on it.  ``variables`` is computed once per term, when first
+asked.  ``preorder`` lists a term's subterms in ``positions`` order; the
+library addresses a subterm by its index there, and subtree blocks, flat
+codes, the splice and the array decoding read that one layout.  Every
+traversal here runs without recursion, so deep terms do not exhaust the
+interpreter stack.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ def _intern(table, evict, key, term):
 class Term:
     """Base class; instances are Var or Node.
 
-    Equality and hashing are by identity (terms are interned); ``_vars`` and
-    ``_positions`` hold ``variables`` and ``positions`` once computed.
+    Equality and hashing are by identity (terms are interned); ``_vars``
+    holds ``variables`` once computed.
     """
 
-    __slots__ = ("_vars", "_positions", "__weakref__")
+    __slots__ = ("_vars", "__weakref__")
 
     # populated by subclasses
     length: int
@@ -109,7 +110,6 @@ class Var(Term):
         var = object.__new__(cls)
         _set(var, "index", index)
         _set(var, "_vars", (index,))
-        _set(var, "_positions", (ROOT,))
         return _intern(_VARS, _evict_var, index, var)
 
 
@@ -137,7 +137,6 @@ class Node(Term):
         _set(node, "size", left.size + right.size + 1)
         _set(node, "depth", max(left.depth, right.depth) + 1)
         _set(node, "_vars", None)
-        _set(node, "_positions", None)
         return _intern(_NODES, _evict_node, key, node)
 
     def __init__(self, left: Term, right: Term):
@@ -149,25 +148,21 @@ class Node(Term):
 
 
 def positions(t: Term):
-    """All positions of t, sorted by the padded-lexicographic order.
+    """All positions of t, sorted by the padded-lexicographic order, uncached.
 
     For positions over {1, 2} that order coincides with plain tuple
     comparison (a proper prefix sorts before its extensions), which is the
     left-first preorder the walk below emits.
     """
-    got = t._positions
-    if got is None:
-        out = []
-        stack = [(t, ROOT)]
-        while stack:
-            u, p = stack.pop()
-            out.append(p)
-            if isinstance(u, Node):
-                stack.append((u.right, p + (2,)))
-                stack.append((u.left, p + (1,)))
-        got = tuple(out)
-        _set(t, "_positions", got)
-    return got
+    out = []
+    stack = [(t, ROOT)]
+    while stack:
+        u, p = stack.pop()
+        out.append(p)
+        if type(u) is Node:
+            stack.append((u.right, p + (2,)))
+            stack.append((u.left, p + (1,)))
+    return tuple(out)
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -231,15 +226,40 @@ def subtree_ends(t: Term) -> list:
     return [i + 2 * u.size + 1 for i, u in enumerate(preorder(t))]
 
 
-def prefix_minimal(ps) -> list:
-    """The prefix-minimal members of ps, sorted.  In sorted (preorder) order
-    the positions below a kept one follow it as one block, so a position is
-    dropped exactly when it extends the last one kept."""
-    kept = []
-    for p in sorted(ps):
-        if not kept or not prefix_leq(kept[-1], p):
-            kept.append(p)
-    return kept
+def outermost(subterms, flags) -> list:
+    """The flagged indexes of subterms == preorder(t) in no other flagged
+    one's block, ascending: the prefix-minimal flagged positions."""
+    kept, i = [], 0
+    try:
+        while True:
+            i = flags.index(True, i)
+            kept.append(i)
+            i += 2 * subterms[i].size + 1
+    except ValueError:
+        return kept
+
+
+def splice(subterms, starts, u: Term) -> Term:
+    """t, whose preorder is subterms, with u at the ascending, disjoint starts.
+    Only the ancestors of a start are built; the subtrees beside them stay."""
+    items, i, n = [], 0, len(subterms)
+    for s in [*starts, n]:
+        while i < s:  # each ancestor of s is built anew, each subtree before s kept
+            end = i + 2 * subterms[i].size + 1
+            items.append(None if end > s else subterms[i])
+            i = i + 1 if end > s else end
+        if s < n:
+            items.append(u)
+            i = s + 2 * subterms[s].size + 1
+    return _build(items)
+
+
+def _build(items) -> Term:
+    # right to left, each f (a None) finds its left child on top of the stack
+    stack = []
+    for c in reversed(items):
+        stack.append(Node(stack.pop(), stack.pop()) if c is None else c)
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +305,7 @@ def subterm_set(t: Term):
     Its iteration order is arbitrary and differs between runs (terms hash
     by identity), so callers sort it or only test membership.
     """
-    out = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u in out:
-            continue
-        out.add(u)
-        if isinstance(u, Node):
-            stack.append(u.right)
-            stack.append(u.left)
-    return out
+    return set(preorder(t))
 
 
 def substitute(t: Term, mapping) -> Term:
@@ -376,11 +386,7 @@ def flat_code(t: Term) -> tuple:
 
 
 def from_flat_code(code) -> Term:
-    # right to left, each f finds its left child on top of the stack
-    stack = []
-    for c in reversed(code):
-        stack.append(Var(c) if c else Node(stack.pop(), stack.pop()))
-    return stack[0]
+    return _build([Var(c) if c else None for c in code])
 
 
 def code_ends(code) -> list:

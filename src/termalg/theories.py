@@ -37,7 +37,6 @@ from .terms import (
     preorder,
     rename_canonical,
     replace_at,
-    subterm_at,
     substitute,
     term_to_text,
     var_set,
@@ -260,12 +259,9 @@ def critical_pair_check(rule: Identity) -> bool:
     shift = {i: Var(i + offset) for i in range(1, offset + 1)}
     lhs2, rhs2 = substitute(lhs, shift), substitute(rhs, shift)
     memo = {}
-    for p in positions(lhs):
-        if p == ():
-            continue  # root self-overlap is the trivially joinable renaming
-        sub = subterm_at(lhs, p)
-        if isinstance(sub, Var):
-            continue
+    for p, sub in zip(positions(lhs), preorder(lhs)):
+        if not p or isinstance(sub, Var):
+            continue  # the root overlap is a mere renaming; a variable overlaps nothing
         mgu = unify(sub, lhs2)
         if mgu is None:
             continue
@@ -634,8 +630,14 @@ class IdempotentTheory(Theory):
 
 
 def term_sort_key(t: Term):
-    """A cheap deterministic total order on terms: (Len, leaves, positions)."""
-    return (t.length, variables(t), positions(t))
+    """A cheap deterministic total order on terms: (Len, leaves, shape).  The
+    shape, the preorder as bytes with 0 per f and 1 per leaf, orders terms of
+    one length as their positions do: an f's next position p·1 sorts first."""
+    return (t.length, variables(t), _shape(t))
+
+
+def _shape(t: Term) -> bytes:
+    return bytes([type(u) is Var for u in preorder(t)])
 
 
 def _sorts_before(a: Term, b: Term) -> bool:
@@ -645,7 +647,7 @@ def _sorts_before(a: Term, b: Term) -> bool:
     va, vb = variables(a), variables(b)
     if va != vb:
         return va < vb
-    return positions(a) < positions(b)
+    return _shape(a) < _shape(b)
 
 
 def _leaf_itself(x: Var) -> Term:

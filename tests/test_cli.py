@@ -354,6 +354,17 @@ class TestCompose:
         assert doc["result"] == "f(f(x3,f(x1,x2)),f(x2,x4))"
         assert doc["essentialMinimal"] == ["22"]
 
+    def test_compose_asks_for_no_essentiality_report(self, capsys, tmp_path):
+        # this bounded theory leaves position 212 of the term undecided, yet
+        # Σ-composition and the match sets it prints need no essential set
+        path = tmp_path / "theory.json"
+        axiom = {"lhs": "f(f(x1,x1),x2)", "rhs": "f(x2,x2)"}
+        path.write_text(json.dumps({"kind": "axioms", "axioms": [axiom]}))
+        term = "f(f(x2,x2),f(f(x2,x2),x2))"
+        code, out, err = invoke(capsys, "compose", "--theory-file", str(path), term, "x2", "x3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "f(f(x3,x3),f(f(x3,x3),x3))"
+
 
 class TestStability:
     def test_small_sweep_json(self, capsys):

@@ -37,7 +37,8 @@ def ref_compute_report(t, theory):
     n = max_var_index(t)
     xa, xb = Var(n + 1), Var(n + 2)
     ess_p, fic_p, und_p = set(), set(), set()
-    for p in sorted(positions(t)):
+    pos = positions(t)
+    for p in sorted(pos):
         if any(p[:k] in fic_p for k in range(len(p))):
             fic_p.add(p)
             continue
@@ -48,7 +49,8 @@ def ref_compute_report(t, theory):
             ess_p.add(p)
         else:
             und_p.add(p)
-    return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p))
+    verdicts = tuple(True if p in fic_p else False if p in ess_p else None for p in pos)
+    return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p), verdicts)
 
 
 class CountingTheory(AxiomsTheory):
@@ -131,17 +133,16 @@ class TestReport:
 # each axiom has the same variables on both sides, so a variable planted
 # anywhere stays in every equal term: no position is ever fictive
 REGULAR_THEORIES = ("idempotent", "commutative", "assoc")
-
-
-@pytest.mark.parametrize(
-    "name",
-    (
-        *REGULAR_THEORIES,
-        *(f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
-        "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",  # Σ2
-        "grp-rule:f(f(x1,x2),x3)=f(x2,x1)",  # node-collapse
-    ),
+EXACT_THEORIES = (
+    *REGULAR_THEORIES,
+    *(f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
+    "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",  # Σ2
+    "grp-rule:f(f(x1,x2),x3)=f(x2,x1)",  # node-collapse
+    "grp-rule:f(x1,f(x2,x3))=f(x1,x3)",  # convergent
 )
+
+
+@pytest.mark.parametrize("name", EXACT_THEORIES)
 def test_report_matches_the_reference(name):
     # every exact decider's one-plant question against the reference's pair
     thy = shared_theory(name)
@@ -154,6 +155,30 @@ def test_report_matches_the_reference(name):
         assert got == ref_compute_report(t, thy), t
         fictive += bool(got.fictive_positions)
     assert fictive > 0 or name in REGULAR_THEORIES
+
+
+@pytest.mark.parametrize("name", (*EXACT_THEORIES, "bounded"))
+def test_index_view_matches_the_sets(name):
+    """verdicts[i] names the one set that holds the i-th position."""
+    if name == "bounded":
+        axiom = Identity.parse("f(f(x1,x1),x2)=f(x2,x2)")
+        thy = AxiomsTheory((axiom,), OracleConfig(max_model_size=2, max_deduction_steps=20))
+    else:
+        thy = shared_theory(name)
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(25 if name == "bounded" else 60):
+        t = random_term(rng, 4, rng.randint(1, 3), leaf_prob=0.2)
+        rep = essentiality_report(t, thy)
+        sets = {False: rep.essential_positions, True: rep.fictive_positions,
+                None: rep.undecided_positions}
+        pos = positions(t)
+        assert len(rep.verdicts) == len(pos) == sum(map(len, sets.values()))
+        for p, verdict in zip(pos, rep.verdicts):
+            assert p in sets[verdict], (t, p)
+            seen.add(verdict)
+    assert False in seen
+    assert (None in seen) == (name == "bounded")
 
 
 class TestVariableVerdicts:

@@ -21,17 +21,18 @@ from termalg.terms import (
     from_arrays,
     from_flat_code,
     max_var_index,
+    outermost,
     parse_position,
     parse_term,
     position_to_text,
     positions,
     prefix_leq,
-    prefix_minimal,
     preorder,
     proper_prefix,
     random_term,
     rename_canonical,
     replace_at,
+    splice,
     substitute,
     subterm_at,
     subterm_set,
@@ -114,7 +115,7 @@ class TestInterning:
     def test_cached_traversals(self):
         t = parse_term("f(f(x5,x2),f(x2,x9))")
         assert variables(t) is variables(t) == (5, 2, 2, 9)
-        assert positions(t) is positions(t)
+        assert positions(t) == positions(t)
         assert positions(t) == tuple(sorted(positions(t)))
 
 
@@ -223,9 +224,27 @@ class TestPositions:
 
     @given(terms_strategy(), st.data())
     def test_prefix_minimal(self, t, data):
-        ps = data.draw(st.sets(st.sampled_from(positions(t))))
-        kept = prefix_minimal(ps)
+        pos = positions(t)
+        ps = data.draw(st.sets(st.sampled_from(pos)))
+        kept = [pos[i] for i in outermost(preorder(t), [p in ps for p in pos])]
         assert kept == sorted(p for p in ps if not any(proper_prefix(q, p) for q in ps))
+
+    def test_splice_matches_replace_at(self):
+        """splice against folding replace_at, over seeded terms and random
+        sets of incomparable starts, the empty set and the root included."""
+        rng = random.Random(17)
+        u = Var(9)
+        for _ in range(300):
+            t = random_term(rng, rng.randint(0, 7), 4, leaf_prob=0.25)
+            subterms, pos = preorder(t), positions(t)
+            assert splice(subterms, [], u) is t
+            assert splice(subterms, [0], u) is u
+            picked = [i for i in range(len(pos)) if rng.random() < 0.3]
+            starts = outermost(subterms, [i in picked for i in range(len(pos))])
+            expected = t
+            for i in starts:
+                expected = replace_at(expected, pos[i], u)
+            assert splice(subterms, starts, u) is expected, (t, starts)
 
     @given(terms_strategy())
     def test_subterm_composition(self, t):

@@ -14,7 +14,16 @@ from termalg.errors import (
     ParseError,
     TermAlgError,
 )
-from termalg.terms import Node, Var, enumerate_terms, parse_term, random_term, substitute
+from termalg.terms import (
+    Node,
+    Var,
+    enumerate_terms,
+    parse_term,
+    positions,
+    random_term,
+    substitute,
+    variables,
+)
 from termalg.theories import (
     AxiomsTheory,
     CounterModel,
@@ -124,6 +133,21 @@ class TestExactDeciders:
         terms = [random_term(rng, 3, 2) for _ in range(60)]
         for t, s in itertools.product(terms, repeat=2):
             assert _sorts_before(t, s) == (term_sort_key(t) < term_sort_key(s))
+
+    def test_sort_key_orders_as_the_position_key(self):
+        # every term of depth <= 3 over 3 variables, seeded deep ones, and
+        # seeded shapes of 40 leaves x1, which only their shapes tell apart
+        rng = random.Random(12)
+        terms = list(enumerate_terms(3, 3))
+        terms += [random_term(rng, 10, 3, leaf_prob=0.15) for _ in range(100)]
+        for _ in range(200):
+            forest = [Var(1)] * 40
+            while len(forest) > 1:  # join a random pair of neighbours
+                k = rng.randrange(len(forest) - 1)
+                forest[k : k + 2] = [Node(forest[k], forest[k + 1])]
+            terms.append(forest[0])
+        reference = sorted(terms, key=lambda t: (t.length, variables(t), positions(t)))
+        assert sorted(terms, key=term_sort_key) == reference
 
     def test_normal_forms_of_a_deep_chain(self, idempotent, commutative):
         depth = 3000
