@@ -41,8 +41,7 @@ class NotRemovableError(TermAlgError):
 
 
 class NonOrientableError(TermAlgError):
-    """A rule cannot be oriented into a size-decreasing rewrite, or its
-    rewriting is not convergent, so a normal form is no canonical form."""
+    """A rule cannot be oriented into a size-decreasing rewrite."""
 
 
 class SideConditionError(TermAlgError):

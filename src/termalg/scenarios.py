@@ -31,9 +31,9 @@ from .terms import (
 )
 from .theories import (
     REFUTED,
-    AxiomsTheory,
     CounterModel,
     Identity,
+    Theory,
     term_sort_key,
     theory_from_name,
 )
@@ -303,7 +303,7 @@ def _thm_5_2_sweep():
 
 def _thm_5_3_sweep():
     axiom = Identity(_t("f(f(x1,x2),x1)"), _t("f(x1,x1)"))
-    thy = AxiomsTheory((axiom,), name="axioms:" + axiom.text())
+    thy = Theory((axiom,))
     return _mini_sweep(thy, "SigmaR1", SweepBounds(2, 2, 1))
 
 

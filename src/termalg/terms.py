@@ -433,8 +433,9 @@ def from_arrays(a: TermArrays) -> Term:
         raise MalformedArraysError(
             f"{is_node.count(False)} leaves but {len(a.var_indexes)} variable indexes"
         )
-    if 0 in a.var_indexes:  # a flat code reads 0 as an f
-        raise MalformedArraysError("variable indexes start at 1, got 0")
+    for i in a.var_indexes:  # a flat code reads 0 as an f
+        if not isinstance(i, int) or i < 1:
+            raise MalformedArraysError(f"variable indexes are integers from 1 on, got {i!r}")
     indexes = iter(a.var_indexes)
     return from_flat_code([0 if node else next(indexes) for node in is_node])
 

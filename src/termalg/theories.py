@@ -1,9 +1,9 @@
 """Equational theories and the three-valued equivalence oracle.
 
-Each built-in theory ships an exact decider (a canonical key such that two
-terms are equal in the theory iff their keys coincide).  Arbitrary axiom
-sets degrade to a bounded oracle: refutation by finite counter-model search,
-proof by bounded bidirectional rewriting, Unknown otherwise.
+A theory is its axioms plus one decider: an exact key (two terms are equal
+in the theory iff their keys coincide), chosen when the theory is built, or
+else the bounded oracle: refutation by finite counter-model search, proof
+by bounded bidirectional rewriting, Unknown otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebras import FiniteAlgebra, ModelStack, distinguish_over_models, term_values
 from .errors import (
@@ -364,6 +364,7 @@ def _occurrence_pattern(seq):
 
 # --- theories ----------------------------------------------------------------
 
+
 def _ground_collapse_proved(rule: Identity) -> bool:
     """Bounded proof that a rule merges all composite terms into one class.
 
@@ -444,16 +445,24 @@ def absorption_axiom(i: int, j: int) -> Identity:
 
 
 class Theory:
-    """Base class: named axioms plus an equivalence-decision strategy."""
+    """An equational theory: its axioms, its name, its oracle bounds and one
+    decider.  The decider is an exact key function key(t, memo), with memo
+    the theory's key cache, or None, and then the bounded oracle answers.
 
-    name = "theory"
-    exact = False  # exact deciders never answer Unknown
+    Given no key, a theory whose one axiom is associativity gets the word key.
+    """
 
-    def __init__(self, config: OracleConfig | None = None):
+    def __init__(self, axioms, config: OracleConfig | None = None, name=None, key=None):
+        self.axioms = tuple(axioms)
+        self.name = name or "axioms:" + ";".join(ax.text() for ax in self.axioms)
         self.config = config or OracleConfig()
+        if key is None and len(self.axioms) == 1 and _is_associativity(self.axioms[0]):
+            key = _word_key
+        self._key = key
+        self.exact = key is not None  # exact deciders never answer Unknown
         # every memo kept for this theory, by this class and by the modules
         # built on it (essentiality, reduction); none attaches its own
-        self._key_cache = {}  # term -> canonical key; the normal form's memo
+        self._key_cache = {}  # term -> canonical key; the key function's memo
         self._key_vectors = {}  # t -> key_vector(t), exact theories only
         self._equal_cache = {}  # (t, s) -> (bounded answer, proof path)
         self._refute_cache = {}  # (t, s) -> (counter-model or None,)
@@ -462,17 +471,19 @@ class Theory:
         self._essentiality_by_term = {}  # t -> the same report object, shared by renaming
         self._rd_cache = {}  # t -> reduction.reducible_pairs(t)
         self._rm_cache = {}  # t -> reduction.removable_positions(t)
-
-    @property
-    def axioms(self):
-        raise NotImplementedError
+        # each axiom as two rewrite rules over flat codes, for _neighbors
+        self._rules = tuple(
+            _flat_rule(src, dst)
+            for ax in self.axioms
+            for src, dst in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs))
+        )
 
     def canonical_key(self, t: Term):
         """Hashable key with key(t) == key(s) iff the theory proves t = s.
 
         None when the theory has no exact decider.
         """
-        return None
+        return None if self._key is None else self._key(t, self._key_cache)
 
     # -- equality -------------------------------------------------------------
 
@@ -513,9 +524,6 @@ class Theory:
         if got is None:
             got = self._key_vectors[t] = tuple(map(self._cached_key, preorder(t)))
         return got
-
-    def _equal_bounded(self, t, s):
-        raise NotImplementedError
 
     def decide(self, t: Term, s: Term) -> Verdict:
         """Full verdict with a certificate attached."""
@@ -576,180 +584,7 @@ class Theory:
         self._refute_cache[(t, s)] = (found,)
         return found
 
-    # -- misc -------------------------------------------------------------------
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.name}>"
-
-
-_MAX_SCANNED_TABLES = 4_000_000  # 3**9 tables fit; 4**16 never finishes
-# tables evaluated at once: bounds the memo of subterm values to a few MiB
-_TABLES_PER_SLICE = 3**7
-
-
-def _models_vectorized(axiom_pairs, size) -> ModelStack:
-    """All satisfying tables of one size, in the order of their flat encoding:
-    every axiom is evaluated over stacks of all size**(size*size) tables."""
-    import numpy as np
-
-    cells = size * size
-    count = size**cells
-    if count > _MAX_SCANNED_TABLES:
-        raise ModelSearchLimitError(
-            f"model search at size {size} would scan {count} Cayley tables; "
-            f"at most {_MAX_SCANNED_TABLES} are scanned (sizes up to 3)"
-        )
-    tables = np.indices((size,) * cells, dtype=np.intp).reshape(cells, count).T
-    axioms = [(lhs, rhs, sorted(var_set(lhs) | var_set(rhs))) for lhs, rhs in axiom_pairs]
-    keep = np.ones(count, dtype=bool)
-    for start in range(0, count, _TABLES_PER_SLICE):
-        part = slice(start, start + _TABLES_PER_SLICE)
-        stack = ModelStack(size, tables[part])
-        for lhs, rhs, vs in axioms:
-            memo = {}
-            lhs_values = term_values(stack, lhs, vs, memo)
-            keep[part] &= (lhs_values == term_values(stack, rhs, vs, memo)).all(axis=1)
-    return ModelStack(size, tables[keep])
-
-
-class IdempotentTheory(Theory):
-    """f(x1,x1) = x1; decided by the collapse normal form."""
-
-    name = "idempotent"
-    exact = True
-
-    @property
-    def axioms(self):
-        return (IDEMPOTENT_AXIOM,)
-
-    def normal_form(self, t: Term) -> Term:
-        return fold_term(t, _leaf_itself, _collapse_pair, self._key_cache)
-
-    def canonical_key(self, t: Term):
-        return self.normal_form(t)
-
-
-def term_sort_key(t: Term):
-    """A cheap deterministic total order on terms: (Len, leaves, shape).  The
-    shape, the preorder as bytes with 0 per f and 1 per leaf, orders terms of
-    one length as their positions do: an f's next position p·1 sorts first."""
-    return (t.length, variables(t), _shape(t))
-
-
-def _shape(t: Term) -> bytes:
-    return bytes([type(u) is Var for u in preorder(t)])
-
-
-def _sorts_before(a: Term, b: Term) -> bool:
-    """term_sort_key(a) < term_sort_key(b), reading only what decides it."""
-    if a.length != b.length:
-        return a.length < b.length
-    va, vb = variables(a), variables(b)
-    if va != vb:
-        return va < vb
-    return _shape(a) < _shape(b)
-
-
-def _leaf_itself(x: Var) -> Term:
-    return x
-
-
-def _collapse_pair(l: Term, r: Term) -> Term:
-    return l if l == r else Node(l, r)
-
-
-def _sorted_pair(l: Term, r: Term) -> Node:
-    return Node(r, l) if _sorts_before(r, l) else Node(l, r)
-
-
-class CommutativeTheory(Theory):
-    """f(x1,x2) = f(x2,x1); decided by recursively sorting children."""
-
-    name = "commutative"
-    exact = True
-
-    @property
-    def axioms(self):
-        return (COMMUTATIVE_AXIOM,)
-
-    def normal_form(self, t: Term) -> Term:
-        return fold_term(t, _leaf_itself, _sorted_pair, self._key_cache)
-
-    def canonical_key(self, t: Term):
-        return self.normal_form(t)
-
-
-class SemigroupAbsorptionTheory(Theory):
-    """Associativity plus f(f(x1,x2),x3) = f(x_i,x_j), i,j in {1,2,3}.
-
-    Terms flatten to words; every word of length >= 3 shrinks to length 2,
-    and the residual equivalence on two-letter words is a finite pattern
-    table computed by bounded congruence closure.
-    """
-
-    exact = True
-
-    def __init__(self, i: int, j: int, config=None):
-        if i not in (1, 2, 3) or j not in (1, 2, 3):
-            raise BoundsError("absorption indexes must lie in {1,2,3}")
-        self.i, self.j = i, j
-        self.name = f"sg-abs-{i}-{j}"
-        super().__init__(config)
-
-    @property
-    def axioms(self):
-        return (ASSOC, absorption_axiom(self.i, self.j))
-
-    def canonical_key(self, t: Term):
-        word = variables(t)
-        if len(word) == 1:
-            return ("var", word[0])
-        a, b = _word_reduce(word, self.i, self.j)
-        patterns = _two_letter_patterns(self.i, self.j)
-        # canonical representative of the two-letter class; fresh placeholder
-        # letters (None, 1) / (None, 2) sort below concrete variable indexes
-        candidates = []
-        f1, f2 = max(a, b) + 1, max(a, b) + 2
-        for c in (f1, a, b):
-            for d in (f1, f2, a, b, c):
-                if _occurrence_pattern((a, b, c, d)) in patterns:
-                    candidates.append((self._slot(c, a, b, f1, f2), self._slot(d, a, b, f1, f2)))
-        return ("word", min(candidates))
-
-    @staticmethod
-    def _slot(x, a, b, f1, f2):
-        if x == f1:
-            return (0, 1)
-        if x == f2:
-            return (0, 2)
-        return (1, x)
-
-
-class AxiomsTheory(Theory):
-    """Arbitrary finite axiom list with the bounded three-valued oracle."""
-
-    def __init__(self, axioms, config=None, name=None):
-        axioms = tuple(axioms)
-        self._axioms = axioms
-        self.name = name or "axioms:" + ";".join(ax.text() for ax in axioms)
-        super().__init__(config)
-        self._assoc_only = len(axioms) == 1 and _is_associativity(axioms[0])
-        self.exact = self._assoc_only
-        # each axiom as two rewrite rules over flat codes, for _neighbors
-        self._rules = tuple(
-            _flat_rule(src, dst)
-            for ax in axioms
-            for src, dst in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs))
-        )
-
-    @property
-    def axioms(self):
-        return self._axioms
-
-    def canonical_key(self, t: Term):
-        if self._assoc_only:
-            return ("word", variables(t))
-        return None
+    # -- the bounded oracle -----------------------------------------------------
 
     def _equal_bounded(self, t, s):
         if self.refute(t, s) is not None:
@@ -849,42 +684,136 @@ class AxiomsTheory(Theory):
                     frontier.append(n)
         return None
 
+    # -- misc -------------------------------------------------------------------
 
-class GroupoidSingleRuleTheory(AxiomsTheory):
-    """A single size-decreasing rule.
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.name}>"
 
-    Exact when the rewrite system is convergent (normal forms decide), or when
-    the rule provably collapses all composite terms into one class (the rule's
-    own bounded prover derives f(x1,x2) = f(x3,x4), e.g. f(f(x1,x2),x3) =
-    f(x2,x1)); otherwise falls back to the bounded three-valued oracle.
-    """
 
-    def __init__(self, rule: Identity, config=None):
-        self.rule = rule
-        super().__init__((rule,), config, name=f"grp-rule:{rule.text()}")
-        self.convergent = rule_size_decreasing(rule) and critical_pair_check(rule)
-        self.node_collapse = (
-            not self.convergent
-            and isinstance(rule.lhs, Node)
-            and isinstance(rule.rhs, Node)
-            and _ground_collapse_proved(rule)
+_MAX_SCANNED_TABLES = 4_000_000  # 3**9 tables fit; 4**16 never finishes
+# tables evaluated at once: bounds the memo of subterm values to a few MiB
+_TABLES_PER_SLICE = 3**7
+
+
+def _models_vectorized(axiom_pairs, size) -> ModelStack:
+    """All satisfying tables of one size, in the order of their flat encoding:
+    every axiom is evaluated over stacks of all size**(size*size) tables."""
+    import numpy as np
+
+    cells = size * size
+    count = size**cells
+    if count > _MAX_SCANNED_TABLES:
+        raise ModelSearchLimitError(
+            f"model search at size {size} would scan {count} Cayley tables; "
+            f"at most {_MAX_SCANNED_TABLES} are scanned (sizes up to 3)"
         )
-        self.exact = self.convergent or self.node_collapse
+    tables = np.indices((size,) * cells, dtype=np.intp).reshape(cells, count).T
+    axioms = [(lhs, rhs, sorted(var_set(lhs) | var_set(rhs))) for lhs, rhs in axiom_pairs]
+    keep = np.ones(count, dtype=bool)
+    for start in range(0, count, _TABLES_PER_SLICE):
+        part = slice(start, start + _TABLES_PER_SLICE)
+        stack = ModelStack(size, tables[part])
+        for lhs, rhs, vs in axioms:
+            memo = {}
+            lhs_values = term_values(stack, lhs, vs, memo)
+            keep[part] &= (lhs_values == term_values(stack, rhs, vs, memo)).all(axis=1)
+    return ModelStack(size, tables[keep])
 
-    def normal_form(self, t: Term) -> Term:
-        """The normal form of t, which is its key, so it shares the key memo."""
-        if not self.convergent:
-            raise NonOrientableError(f"rewriting with {self.rule.text()} is not convergent")
-        return rewrite_nf(t, self.rule.lhs, self.rule.rhs, self._key_cache)
 
-    def canonical_key(self, t: Term):
-        if self.convergent:
-            return self.normal_form(t)
-        if self.node_collapse:
-            # any composite term is provably equal to any other; a rule with
-            # composite terms on both sides never merges a variable in
-            return ("node",) if isinstance(t, Node) else ("var", t.index)
-        return None
+def term_sort_key(t: Term):
+    """A cheap deterministic total order on terms: (Len, leaves, shape).  The
+    shape, the preorder as bytes with 0 per f and 1 per leaf, orders terms of
+    one length as their positions do: an f's next position p·1 sorts first."""
+    return (t.length, variables(t), _shape(t))
+
+
+def _shape(t: Term) -> bytes:
+    return bytes([type(u) is Var for u in preorder(t)])
+
+
+def _sorts_before(a: Term, b: Term) -> bool:
+    """term_sort_key(a) < term_sort_key(b), reading only what decides it."""
+    if a.length != b.length:
+        return a.length < b.length
+    va, vb = variables(a), variables(b)
+    if va != vb:
+        return va < vb
+    return _shape(a) < _shape(b)
+
+
+def _leaf_itself(x: Var) -> Term:
+    return x
+
+
+def _collapse_pair(l: Term, r: Term) -> Term:
+    return l if l == r else Node(l, r)
+
+
+def _sorted_pair(l: Term, r: Term) -> Node:
+    return Node(r, l) if _sorts_before(r, l) else Node(l, r)
+
+
+# --- exact keys: key(t, memo) names t's class; memo is the theory's key cache
+
+
+def _idempotent_key(t: Term, memo) -> Term:
+    """f(x1,x1) = x1: the collapse normal form."""
+    return fold_term(t, _leaf_itself, _collapse_pair, memo)
+
+
+def _commutative_key(t: Term, memo) -> Term:
+    """f(x1,x2) = f(x2,x1): children sorted, recursively."""
+    return fold_term(t, _leaf_itself, _sorted_pair, memo)
+
+
+def _word_key(t: Term, memo):
+    """Associativity: the word of leaves."""
+    return ("word", variables(t))
+
+
+def _absorption_key(i: int, j: int, t: Term, memo):
+    """Associativity plus f(f(x1,x2),x3) = f(x_i,x_j), i,j in {1,2,3}.
+
+    Terms flatten to words; every word of length >= 3 shrinks to length 2,
+    and the residual equivalence on two-letter words is a finite pattern
+    table computed by bounded congruence closure.
+    """
+    word = variables(t)
+    if len(word) == 1:
+        return ("var", word[0])
+    a, b = _word_reduce(word, i, j)
+    patterns = _two_letter_patterns(i, j)
+    # canonical representative of the two-letter class; the fresh letters
+    # f1, f2 become (0, 1), (0, 2), below every concrete variable (1, x)
+    f1, f2 = max(a, b) + 1, max(a, b) + 2
+    slot = {f1: (0, 1), f2: (0, 2)}
+    candidates = []
+    for c in (f1, a, b):
+        for d in (f1, f2, a, b, c):
+            if _occurrence_pattern((a, b, c, d)) in patterns:
+                candidates.append((slot.get(c, (1, c)), slot.get(d, (1, d))))
+    return ("word", min(candidates))
+
+
+def _node_or_var_key(t: Term, memo):
+    """A rule that provably merges every composite term: one class of them,
+    and each variable alone, as a rule with composite sides merges none."""
+    return ("node",) if isinstance(t, Node) else ("var", t.index)
+
+
+def _single_rule_key(rule: Identity):
+    """The exact key for one rule, or None: its normal form when rewriting
+    with it is convergent, else one composite class when the rule provably
+    collapses them (e.g. f(f(x1,x2),x3) = f(x2,x1))."""
+    if rule_size_decreasing(rule) and critical_pair_check(rule):
+        lhs, rhs = rule.lhs, rule.rhs
+        return lambda t, memo: rewrite_nf(t, lhs, rhs, memo)
+    if isinstance(rule.lhs, Node) and isinstance(rule.rhs, Node) and _ground_collapse_proved(rule):
+        return _node_or_var_key
+    return None
+
+
+AxiomsTheory = Theory  # another name, kept for callers that build bounded theories by it
 
 
 # --- flat-code rules for the bounded proof search ----------------------------
@@ -930,23 +859,40 @@ def _is_associativity(ax: Identity) -> bool:
 # --- names and files ------------------------------------------------------------
 
 
+# the built-in theories with one fixed axiom and an exact key
+_KEYED = {
+    "idempotent": (IDEMPOTENT_AXIOM, _idempotent_key),
+    "commutative": (COMMUTATIVE_AXIOM, _commutative_key),
+}
+
+
+def _absorption_theory(i: int, j: int, config) -> Theory:
+    if i not in (1, 2, 3) or j not in (1, 2, 3):
+        raise BoundsError("absorption indexes must lie in {1,2,3}")
+    axioms = (ASSOC, absorption_axiom(i, j))
+    return Theory(axioms, config, f"sg-abs-{i}-{j}", partial(_absorption_key, i, j))
+
+
+def _single_rule_theory(rule: Identity, config) -> Theory:
+    return Theory((rule,), config, f"grp-rule:{rule.text()}", _single_rule_key(rule))
+
+
 def theory_from_name(name: str, config: OracleConfig | None = None) -> Theory:
     """Resolve a built-in theory name.
 
     idempotent | commutative | assoc | sg-abs-I-J | grp-rule:<lhs>=<rhs>
     """
-    if name == "idempotent":
-        return IdempotentTheory(config)
-    if name == "commutative":
-        return CommutativeTheory(config)
+    if name in _KEYED:
+        axiom, key = _KEYED[name]
+        return Theory((axiom,), config, name, key)
     if name in ("assoc", "associative"):
-        return AxiomsTheory((ASSOC,), config, name="assoc")
+        return Theory((ASSOC,), config, "assoc")
     if name.startswith("sg-abs-"):
         parts = name.split("-")
         if len(parts) == 4 and parts[2].isdigit() and parts[3].isdigit():
-            return SemigroupAbsorptionTheory(int(parts[2]), int(parts[3]), config)
+            return _absorption_theory(int(parts[2]), int(parts[3]), config)
     if name.startswith("grp-rule:"):
-        return GroupoidSingleRuleTheory(Identity.parse(name[len("grp-rule:") :]), config)
+        return _single_rule_theory(Identity.parse(name[len("grp-rule:") :]), config)
     raise ParseError(f"unknown theory name {name!r}")
 
 
@@ -993,17 +939,15 @@ def theory_from_json(obj, max_model_size: int | None = None) -> Theory:
         bounds["max_model_size"] = max_model_size
     config = OracleConfig(**bounds)
     kind = obj.get("kind")
-    if kind == "idempotent":
-        return IdempotentTheory(config)
-    if kind == "commutative":
-        return CommutativeTheory(config)
+    if kind in ("idempotent", "commutative"):
+        return theory_from_name(kind, config)
     if kind == "semigroup-absorption":
-        return SemigroupAbsorptionTheory(_field(obj, "i", int), _field(obj, "j", int), config)
+        return _absorption_theory(_field(obj, "i", int), _field(obj, "j", int), config)
     if kind == "groupoid-single-rule":
-        return GroupoidSingleRuleTheory(_identity_from_json(_field(obj, "rule", dict)), config)
+        return _single_rule_theory(_identity_from_json(_field(obj, "rule", dict)), config)
     if kind == "axioms":
         axioms = _field(obj, "axioms", list)
-        return AxiomsTheory(tuple(_identity_from_json(a) for a in axioms), config)
+        return Theory(tuple(_identity_from_json(a) for a in axioms), config)
     raise ParseError(f"unknown theory kind {kind!r}")
 
 

@@ -186,7 +186,7 @@ class TestSweeps:
         report = check_stability(thy, "SR1", SweepBounds(3, 1, 1))
         assert report.violations and validate_report(report)
         bad = FiniteAlgebra.from_rows([[0, 0], [0, 1]])
-        assert not satisfies(bad, thy.rule.lhs, thy.rule.rhs)
+        assert not satisfies(bad, thy.axioms[0].lhs, thy.axioms[0].rhs)
         v0 = report.violations[0]
         vs = sorted(var_set(v0.left) | var_set(v0.right))
         for values in itertools.product(range(bad.size), repeat=len(vs)):

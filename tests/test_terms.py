@@ -329,11 +329,12 @@ class TestArrays:
         with pytest.raises(MalformedArraysError):
             from_arrays(TermArrays(((), (1,), (2,)), (1,)))
 
-    def test_zero_index_rejected(self):
+    @pytest.mark.parametrize("bad", [0, -1, "x1", 1.0])
+    def test_zero_index_rejected(self, bad):
         from termalg.terms import TermArrays
 
         with pytest.raises(MalformedArraysError):
-            from_arrays(TermArrays(((), (1,), (2,)), (1, 0)))
+            from_arrays(TermArrays(((), (1,), (2,)), (1, bad)))
 
 
 def test_one_preorder_layout():

@@ -10,7 +10,6 @@ from termalg.algebras import eval_term, satisfies
 from termalg.errors import (
     BoundsError,
     ModelSearchLimitError,
-    NonOrientableError,
     ParseError,
     TermAlgError,
 )
@@ -25,15 +24,18 @@ from termalg.terms import (
     variables,
 )
 from termalg.theories import (
+    ASSOC,
     AxiomsTheory,
     CounterModel,
     Derivation,
     DistinctCanonicalKeys,
-    GroupoidSingleRuleTheory,
     Identity,
     OracleConfig,
+    _node_or_var_key,
+    _single_rule_key,
     _sorts_before,
     _two_letter_patterns,
+    critical_pair_check,
     load_theory_file,
     match_pattern,
     resolve,
@@ -152,9 +154,9 @@ class TestExactDeciders:
     def test_normal_forms_of_a_deep_chain(self, idempotent, commutative):
         depth = 3000
         chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
-        assert idempotent.normal_form(chain) is chain
+        assert idempotent.canonical_key(chain) is chain
         flipped = parse_term("f(x2," * (depth - 1) + "f(x1,x2)" + ")" * (depth - 1))
-        assert commutative.normal_form(chain) is flipped
+        assert commutative.canonical_key(chain) is flipped
 
     def test_single_rule_normal_form_matches_the_recursive_reference(self):
         def reference(t, lhs, rhs):
@@ -187,19 +189,18 @@ class TestExactDeciders:
         chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
         assert rewrite_nf(chain, rule.lhs, rule.rhs) is parse_term("f(x2,x2)")
 
-    def test_single_rule_normal_form_refuses_a_rule_that_need_not_end(self):
+    def test_a_rule_that_need_not_end_gets_no_exact_key(self):
         thy = theory_from_name("grp-rule:f(x1,x2)=f(x2,x1)")
-        with pytest.raises(NonOrientableError):
-            thy.normal_form(parse_term("f(x1,x2)"))
+        assert _single_rule_key(thy.axioms[0]) is None
+        assert not thy.exact and thy.canonical_key(parse_term("f(x1,x2)")) is None
 
-    def test_single_rule_normal_form_refuses_a_rule_that_is_not_confluent(self):
+    def test_a_rule_that_is_not_confluent_gets_no_exact_key(self):
         # rewriting ends, but two strategies may end at different terms
         rule = Identity.parse("f(f(x1,x2),x1)=f(x1,x1)")
-        assert rule_size_decreasing(rule)
-        thy = GroupoidSingleRuleTheory(rule)
-        assert not thy.convergent
-        with pytest.raises(NonOrientableError):
-            thy.normal_form(parse_term("f(f(x1,x2),x1)"))
+        assert rule_size_decreasing(rule) and not critical_pair_check(rule)
+        assert _single_rule_key(rule) is None
+        thy = theory_from_name("grp-rule:" + rule.text())
+        assert not thy.exact and thy.canonical_key(parse_term("f(f(x1,x2),x1)")) is None
 
     def test_equivalence_relation_sample(self, idempotent):
         terms = list(enumerate_terms(2, 2))
@@ -387,7 +388,8 @@ TWO_LETTER_PATTERNS = {
     (3, 3): ONLY_EQUAL_WORDS,
 }
 
-# rule -> (convergent, node_collapse, exact)
+# rule -> (convergent, node_collapse, exact): the key _single_rule_key picks is
+# the rule's normal form, one class of composite terms, or none
 SINGLE_RULE_FLAGS = {
     "f(f(x1,x2),x3)=f(x1,x2)": (True, False, True),
     "f(f(x1,x2),x3)=f(x1,x3)": (True, False, True),
@@ -413,8 +415,15 @@ class TestSetUpClosures:
 
     @pytest.mark.parametrize("rule", sorted(SINGLE_RULE_FLAGS))
     def test_single_rule_flags(self, rule):
-        thy = GroupoidSingleRuleTheory(Identity.parse(rule))
-        assert (thy.convergent, thy.node_collapse, thy.exact) == SINGLE_RULE_FLAGS[rule]
+        ident = Identity.parse(rule)
+        key = _single_rule_key(ident)
+        node_collapse = key is _node_or_var_key
+        convergent = key is not None and not node_collapse
+        if convergent:
+            t = parse_term("f(f(f(x1,x2),x3),f(x1,f(x2,x3)))")
+            assert key(t, {}) is rewrite_nf(t, ident.lhs, ident.rhs)
+        exact = theory_from_name("grp-rule:" + rule).exact
+        assert (convergent, node_collapse, exact) == SINGLE_RULE_FLAGS[rule]
 
 
 class TestBoundedOracle:
@@ -564,6 +573,48 @@ class TestNamesAndFiles:
         with pytest.raises(BoundsError) as caught:
             build()
         assert isinstance(caught.value, TermAlgError) and isinstance(caught.value, ValueError)
+
+
+def _json_twin(name: str):
+    """The theory file that names the same theory as a built-in name."""
+    if name in ("idempotent", "commutative"):
+        return {"kind": name}
+    if name == "assoc":
+        return {"kind": "axioms", "axioms": [{"lhs": str(ASSOC.lhs), "rhs": str(ASSOC.rhs)}]}
+    if name.startswith("sg-abs-"):
+        i, j = name[len("sg-abs-") :].split("-")
+        return {"kind": "semigroup-absorption", "i": int(i), "j": int(j)}
+    lhs, rhs = name[len("grp-rule:") :].split("=")
+    return {"kind": "groupoid-single-rule", "rule": {"lhs": lhs, "rhs": rhs}}
+
+
+def _key_partition(thy, terms):
+    classes = {}
+    for t in terms:
+        classes.setdefault(thy.canonical_key(t), set()).add(t)
+    return {frozenset(c) for c in classes.values()}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["idempotent", "commutative", "assoc"]
+    + [f"sg-abs-{i}-{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    + ["grp-rule:" + rule for rule in sorted(SINGLE_RULE_FLAGS)],
+)
+def test_names_and_files_build_the_same_theory(name):
+    by_name, by_file = theory_from_name(name), theory_from_json(_json_twin(name))
+    assert by_name.axioms == by_file.axioms
+    assert by_name.exact == by_file.exact
+    terms = list(enumerate_terms(2, 3))
+    assert _key_partition(by_name, terms) == _key_partition(by_file, terms)
+
+
+def test_a_rule_that_is_associativity_gets_the_word_key(assoc):
+    # the decider follows the axiom, not the name it came by
+    thy = theory_from_name("grp-rule:f(x2,f(x3,x1))=f(f(x2,x3),x1)")
+    assert thy.exact
+    terms = list(enumerate_terms(2, 3))
+    assert _key_partition(thy, terms) == _key_partition(assoc, terms)
 
 
 class TestModels:
