@@ -177,7 +177,7 @@ def _cmd_star_compose(args):
 
 def _cmd_rd(args):
     theory = _theory_of(args)
-    pairs = sorted(reducible_pairs(parse_term(args.term), theory), key=lambda x: (x.p, x.q))
+    pairs = sorted(reducible_pairs(parse_term(args.term), theory))
     payload = [
         {"p": position_to_text(pair.p), "q": position_to_text(pair.q)} for pair in pairs
     ]

@@ -31,7 +31,6 @@ from .terms import (
     rename_canonical,
     replace_at,
     substitute,
-    subterm_at,
     subtree_ends,
     var_set,
 )
@@ -145,4 +144,5 @@ def essential_subterms(t: Term, theory: Theory) -> set:
 
 def is_essential_subterm(r: Term, t: Term, theory: Theory) -> bool:
     """Whether r is theory-equivalent to some subterm at an essential position."""
-    return any(theory.holds(r, subterm_at(t, p)) for p in essential_positions(t, theory))
+    verdicts = decided_report(t, theory).verdicts
+    return any(theory.holds(r, u) for u, fictive in zip(preorder(t), verdicts) if not fictive)

@@ -8,8 +8,9 @@ Two reductions on terms, both strictly decreasing Len:
 * E-steps remove the parent of a removable (fictive) position, replacing it
   by the sibling subterm.
 
-normal_form drives either reduction with the minimal-redex strategy; the
-seeded strategy runner exists to test uniqueness of normal forms.
+A strategy picks one redex from the one redex set, Rd(t) or Rm(t), until
+the set is empty: normal_form takes its least member, and the seeded
+runner, which exists to test uniqueness of normal forms, a random one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .terms import (
 from .theories import Theory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)  # ordered by (p, q)
 class ReduciblePair:
     p: Position
     q: Position
@@ -207,35 +208,39 @@ def step_E(t: Term, removable: Position, theory: Theory | None = None) -> Term:
     return result
 
 
-def _minimal_fictive(t: Term, theory: Theory):
-    fictive = [p for p in decided_report(t, theory).fictive_positions if p]
-    return min(fictive) if fictive else None
+def _redexes(t: Term, theory: Theory, mode: str) -> frozenset:
+    """Rd(t) in mode "S", Rm(t) in mode "E"."""
+    if mode not in ("S", "E"):
+        raise ValueError(f"mode must be 'S' or 'E', got {mode!r}")
+    return (reducible_pairs if mode == "S" else removable_positions)(t, theory)
+
+
+def _step(t: Term, redex) -> Term:
+    return step_S(t, redex) if type(redex) is ReduciblePair else step_E(t, redex)
+
+
+def _minimal_redex(t: Term, theory: Theory, mode: str):
+    """min(_redexes(t, theory, mode)), or None when there is none.
+
+    Mode "E" reads t's own report instead of building Rm.  A position
+    fictive in a subterm t|s is fictive in t, by congruence, so below a
+    root that is not fictive the least fictive position is outermost and
+    lies below every member of Rm: it is min(Rm(t)).  A fictive root makes
+    every position fictive but none removable, so t is a normal form.
+    """
+    if mode != "E":
+        return min(_redexes(t, theory, mode), default=None)
+    fictive = decided_report(t, theory).fictive_positions
+    return None if () in fictive else min(fictive, default=None)
 
 
 def normal_form(t: Term, theory: Theory, mode: str):
-    """(normal form, trace) under the minimal-redex strategy.
-
-    Mode "S" contracts the lexicographically minimal reducible pair; mode "E"
-    removes the parent of the minimal fictive position.
-    """
-    if mode not in ("S", "E"):
-        raise ValueError(f"mode must be 'S' or 'E', got {mode!r}")
+    """(normal form, trace) under the minimal-redex strategy: each step
+    takes the least member of Rd (mode "S") or Rm (mode "E")."""
     trace = ReductionTrace(t)
-    current = t
-    while True:
-        if mode == "S":
-            pairs = reducible_pairs(current, theory)
-            if not pairs:
-                return current, trace
-            pair = min(pairs, key=lambda x: (x.p, x.q))
-            current = step_S(current, pair)
-            trace.record("S", pair, current)
-        else:
-            p = _minimal_fictive(current, theory)
-            if p is None:
-                return current, trace
-            current = step_E(current, p)
-            trace.record("E", p, current)
+    while (redex := _minimal_redex(trace.final, theory, mode)) is not None:
+        trace.record(mode, redex, _step(trace.final, redex))
+    return trace.final, trace
 
 
 def sr(t: Term, theory: Theory) -> Term:
@@ -247,19 +252,9 @@ def er(t: Term, theory: Theory) -> Term:
 
 
 def reduce_with_strategy(t: Term, theory: Theory, mode: str, seed: int) -> Term:
-    """Reduce to a normal form taking seed-chosen steps instead of minimal ones."""
-    if mode not in ("S", "E"):
-        raise ValueError(f"mode must be 'S' or 'E', got {mode!r}")
+    """Reduce to a normal form taking a seed-chosen member of the same
+    redex set at each step, instead of the least one."""
     rng = random.Random(seed)
-    current = t
-    while True:
-        if mode == "S":
-            choices = sorted(reducible_pairs(current, theory), key=lambda x: (x.p, x.q))
-            if not choices:
-                return current
-            current = step_S(current, rng.choice(choices))
-        else:
-            choices = sorted(removable_positions(current, theory))
-            if not choices:
-                return current
-            current = step_E(current, rng.choice(choices))
+    while redexes := sorted(_redexes(t, theory, mode)):
+        t = _step(t, rng.choice(redexes))
+    return t

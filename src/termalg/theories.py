@@ -464,8 +464,7 @@ class Theory:
         # built on it (essentiality, reduction); none attaches its own
         self._key_cache = {}  # term -> canonical key; the key function's memo
         self._key_vectors = {}  # t -> key_vector(t), exact theories only
-        self._equal_cache = {}  # (t, s) -> (bounded answer, proof path)
-        self._refute_cache = {}  # (t, s) -> (counter-model or None,)
+        self._equal_cache = {}  # (t, s), both orders -> (answer, witness); see _witnessed
         self._models_by_size = {}  # size -> ModelStack of all models
         self._essentiality_cache = {}  # rename_canonical(t) -> its position report
         self._essentiality_by_term = {}  # t -> the same report object, shared by renaming
@@ -493,14 +492,26 @@ class Theory:
             return True
         if self.exact:
             return self._cached_key(t) == self._cached_key(s)
+        return self._witnessed(t, s)[0]
+
+    def _witnessed(self, t: Term, s: Term):
+        """(answer, witness) for t != s, memoised under both orders; the only
+        writer of _equal_cache.  The witness of False is refute's (model,
+        assignment), serving both orders, or None; of True, a rewrite path from
+        the left term.  An exact theory is asked only about pairs its keys
+        refute, and answers False with no proof search."""
         got = self._equal_cache.get((t, s))
-        if got is not None:
-            return got[0]
-        answer, path = self._equal_bounded(t, s)
-        self._equal_cache[(t, s)] = (answer, path)
-        # the proof of s = t walks the same path backwards
-        self._equal_cache[(s, t)] = (answer, None if path is None else path[::-1])
-        return answer
+        if got is None:
+            found = self.refute(t, s)
+            if found is not None or self.exact:
+                got = back = (False, found)
+            elif (path := self._bfs_prove(t, s)) is not None:
+                got, back = (True, path), (True, path[::-1])  # s = t walks it backwards
+            else:
+                got = back = (None, None)
+            self._equal_cache[(t, s)] = got
+            self._equal_cache[(s, t)] = back
+        return got
 
     def holds(self, t: Term, s: Term) -> bool:
         """equal(t, s) for a caller that needs an answer: raises
@@ -528,31 +539,24 @@ class Theory:
     def decide(self, t: Term, s: Term) -> Verdict:
         """Full verdict with a certificate attached."""
         answer = self.equal(t, s)
-        if answer is True:
-            return Verdict(PROVED, self._proof_certificate(t, s))
-        if answer is False:
-            found = self.refute(t, s)
-            if found is not None:
-                algebra, assignment = found
-                return Verdict(
-                    REFUTED, CounterModel(algebra, tuple(sorted(assignment.items())))
-                )
-            return Verdict(
-                REFUTED,
-                DistinctCanonicalKeys(repr(self._cached_key(t)), repr(self._cached_key(s))),
-            )
-        return Verdict(UNKNOWN, self.config)  # the bounds it exhausted
-
-    def _proof_certificate(self, t, s):
+        if answer is None:
+            return Verdict(UNKNOWN, self.config)  # the bounds it exhausted
         if t == s:
-            return Derivation("reflexivity", (term_to_text(t),))
-        if self.exact:
+            return Verdict(PROVED, Derivation("reflexivity", (term_to_text(t),)))
+        if answer and self.exact:
             key = self._cached_key(t)
             key_text = term_to_text(key) if isinstance(key, Term) else repr(key)
-            return Derivation("canonical-form", (term_to_text(t), key_text, term_to_text(s)))
-        payload = self._equal_cache.get((t, s), (None, None))[1]
-        steps = tuple(term_to_text(u) for u in payload) if payload else ()
-        return Derivation("rewrite-path", steps)
+            steps = (term_to_text(t), key_text, term_to_text(s))
+            return Verdict(PROVED, Derivation("canonical-form", steps))
+        witness = self._witnessed(t, s)[1]
+        if answer:
+            return Verdict(PROVED, Derivation("rewrite-path", tuple(map(term_to_text, witness))))
+        if witness is not None:
+            algebra, assignment = witness
+            return Verdict(REFUTED, CounterModel(algebra, tuple(sorted(assignment.items()))))
+        return Verdict(
+            REFUTED, DistinctCanonicalKeys(repr(self._cached_key(t)), repr(self._cached_key(s)))
+        )
 
     # -- finite models ----------------------------------------------------------
 
@@ -572,27 +576,15 @@ class Theory:
         return stack
 
     def refute(self, t: Term, s: Term):
-        """(model, assignment) distinguishing t and s, or None."""
-        got = self._refute_cache.get((t, s))
-        if got is not None:
-            return got[0]
-        found = None
+        """(model, assignment) distinguishing t and s, or None: the first hit
+        over the models of size 2 ... max_model_size, with no memo."""
         for size in range(2, self.config.max_model_size + 1):
             found = distinguish_over_models(self._model_stack(size), t, s)
             if found is not None:
-                break
-        self._refute_cache[(t, s)] = (found,)
-        return found
+                return found
+        return None
 
     # -- the bounded oracle -----------------------------------------------------
-
-    def _equal_bounded(self, t, s):
-        if self.refute(t, s) is not None:
-            return False, None
-        path = self._bfs_prove(t, s)
-        if path is not None:
-            return True, path
-        return None, None
 
     def _neighbors(self, code):
         """Every term one axiom replacement away from the term with this flat

@@ -17,7 +17,14 @@ from termalg.compose import (
 )
 from termalg.errors import UndecidedError
 from termalg.essentiality import _compute_report, decided_report
-from termalg.reduction import ReduciblePair, reducible_pairs, removable_positions
+from termalg.reduction import (
+    ReduciblePair,
+    ReductionTrace,
+    normal_form,
+    reduce_with_strategy,
+    reducible_pairs,
+    removable_positions,
+)
 from termalg.terms import (
     Var,
     max_var_index,
@@ -211,6 +218,34 @@ class TestReadersMatchTheReferences:
             assert asked == expected, t
             skipped += len(positions(t)) - len(expected)
         assert (skipped > 0) == (name not in REGULAR_THEORIES)
+
+
+# --- the minimal strategy takes the least member of the redex set ----------------
+
+
+# proves every two terms equal, so the root of every term is fictive
+TRIVIAL = "grp-rule:f(x1,x2)=x3"
+
+
+@pytest.mark.parametrize("mode", ("S", "E"))
+@pytest.mark.parametrize("name", (*EXACT_THEORIES, TRIVIAL))
+def test_each_minimal_step_takes_the_least_redex(name, mode):
+    thy = shared_theory(name)
+    redexes = reducible_pairs if mode == "S" else removable_positions
+    for t in seeded_terms(28, 30):
+        nf, trace = normal_form(t, thy, mode)
+        starts = [t] + [result for _, _, result in trace.steps]
+        for u, (_, redex, _) in zip(starts, trace.steps):
+            assert redex == min(redexes(u, thy)), (t, u)
+        assert not redexes(nf, thy), t
+
+
+def test_a_fictive_root_is_an_e_normal_form():
+    thy = shared_theory(TRIVIAL)
+    for text in ("f(x1,x2)", "f(f(x1,x2),x3)"):
+        t = parse_term(text)
+        assert normal_form(t, thy, "E") == (t, ReductionTrace(t))
+        assert all(reduce_with_strategy(t, thy, "E", seed) == t for seed in range(3))
 
 
 # --- bounded theories keep asking the oracle, in the same order -----------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from termalg import theories
 from termalg.algebras import eval_term, satisfies
 from termalg.errors import (
     BoundsError,
@@ -464,6 +465,50 @@ class TestBoundedOracle:
         assert assoc.exact
         assert assoc.equal(parse_term("f(f(x1,x2),x3)"), parse_term("f(x1,f(x2,x3))")) is True
         assert assoc.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is False
+
+
+class TestOneSearchPerPair:
+    """A pair's answer and witness serve both orders: deciding the second
+    order searches for no model."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = theories.distinguish_over_models
+
+        def counting(models, lhs, rhs):
+            calls.append((lhs, rhs))
+            return search(models, lhs, rhs)
+
+        monkeypatch.setattr(theories, "distinguish_over_models", counting)
+        return calls
+
+    def test_bounded_refuted_pair(self, searches):
+        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        t, s = parse_term("f(x1,x2)"), parse_term("f(x2,x1)")
+        first = thy.decide(t, s)
+        assert searches
+        searched = len(searches)
+        second = thy.decide(s, t)
+        assert len(searches) == searched
+        assert isinstance(first.certificate, CounterModel)
+        assert second.certificate == first.certificate
+
+    def test_bounded_proved_pair(self):
+        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        t, s = parse_term("f(f(x2,x2),x3)"), parse_term("f(x2,x3)")
+        forth, back = thy.decide(t, s).certificate, thy.decide(s, t).certificate
+        assert forth.method == back.method == "rewrite-path"
+        assert back.steps == forth.steps[::-1]
+
+    def test_exact_refuted_pair(self, searches):
+        thy = theory_from_name("idempotent")
+        t, s = parse_term("f(x1,x2)"), parse_term("f(x2,x1)")
+        first = thy.decide(t, s)
+        searched = len(searches)
+        assert searched and first.refuted
+        assert thy.decide(s, t).certificate == first.certificate
+        assert len(searches) == searched
 
 
 class TestAssociativityLookAlikes:
