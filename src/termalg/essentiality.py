@@ -15,6 +15,12 @@ gives t[p <- x_b] = t, and transitivity gives the pair.  An exact key names a
 congruence class, so the key of t, already cached, answers the question after
 one planted term is keyed.  A bounded theory keeps asking the pair: refutation
 treats both shapes alike, but the bounded proof search does not.
+
+``_scan`` is the one walk that asks these questions, top-down in preorder.
+A report reads all of it; ``least_fictive``, which the minimal E-reduction
+strategy reads, stops at the first fictive position.  Reports are stored per
+variable-renaming class; an exact theory computes one on the term it is
+asked about, a bounded theory on the class's canonical member.
 """
 
 from __future__ import annotations
@@ -59,8 +65,10 @@ class EssentialityReport:
 def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
     """Classify every position of t as essential, fictive or undecided.
 
-    Reports are computed once per variable-renaming class (keyed by
+    Reports are stored once per variable-renaming class (keyed by
     ``rename_canonical``); every member of the class shares that report.
+    An exact theory computes it on t itself, a bounded one on
+    ``rename_canonical(t)`` (``_scanned_term``).
     """
     by_term = theory._essentiality_by_term
     report = by_term.get(t)
@@ -69,29 +77,69 @@ def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
         canon = rename_canonical(t)
         report = computed.get(canon)
         if report is None:
-            report = computed[canon] = _compute_report(canon, theory)
+            report = computed[canon] = _compute_report(_scanned_term(t, theory), theory)
         by_term[t] = report
     return report
 
 
-def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
+def least_fictive(t: Term, theory: Theory):
+    """The preorder index of t's least fictive position, or None when t has
+    none; raises UndecidedError at an undecided position met before it.
+
+    The scan goes top-down and stops at the first fictive index, so every
+    index before it was asked and found essential: that position is the
+    least fictive one, and it is outermost.
+    """
+    scanned = _scanned_term(t, theory)
+    pos = positions(scanned)
+    for i, verdict, _ in _scan(scanned, pos, theory):
+        if verdict is None:
+            raise _undecided(t, [pos[i]])
+        if verdict:
+            return i
+    return None
+
+
+def _scanned_term(t: Term, theory: Theory) -> Term:
+    """The term scanned for t's positions.  An exact theory scans t itself,
+    whose subterm keys are already cached; a renaming is an automorphism of
+    the free algebra, so it gives the same verdict at each position.  A
+    bounded theory scans rename_canonical(t) and so asks its report's
+    questions, in the same order: a bounded proof search need not answer a
+    renamed question alike."""
+    return t if theory.exact else rename_canonical(t)
+
+
+def _scan(t: Term, pos, theory: Theory):
+    """(index, verdict, block end) for t's positions pos, top-down in
+    preorder.
+
+    Extensions of fictive positions are fictive (monotone structure), so a
+    fictive position classifies its whole block of the preorder, up to
+    block end, without queries; the scan goes on after the block.
+    """
     n = max_var_index(t)
     xa, xb = Var(n + 1), Var(n + 2)
     exact = theory.exact
 
-    pos, ends = positions(t), subtree_ends(t)
-    by_verdict = {False: set(), True: set(), None: set()}  # essential, fictive, undecided
-    verdicts, i = [], 0
+    ends = subtree_ends(t)
+    i = 0
     while i < len(pos):
         p = pos[i]
         # an exact theory answers t[p <- xa] = t as it would the pair (above)
         verdict = theory.equal(replace_at(t, p, xa), t if exact else replace_at(t, p, xb))
-        # extensions of fictive positions are fictive (monotone structure), so
-        # a fictive position classifies its whole block of the preorder
         end = ends[i] if verdict is True else i + 1
+        yield i, verdict, end
+        i = end
+
+
+def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
+    pos = positions(t)
+    by_verdict = {False: set(), True: set(), None: set()}  # essential, fictive, undecided
+    verdicts = []
+    for i, verdict, end in _scan(t, pos, theory):
         by_verdict[verdict].update(pos[i:end])
         verdicts += [verdict] * (end - i)
-        i = end
     return EssentialityReport(*map(frozenset, by_verdict.values()), tuple(verdicts))
 
 
@@ -113,11 +161,14 @@ def decided_report(t: Term, theory: Theory) -> EssentialityReport:
     classified; raises UndecidedError otherwise."""
     report = essentiality_report(t, theory)
     if report.undecided_positions:
-        undecided = sorted(report.undecided_positions)
-        raise UndecidedError(
-            f"essentiality undecided at positions {undecided} of {t}", query=(t, undecided)
-        )
+        raise _undecided(t, sorted(report.undecided_positions))
     return report
+
+
+def _undecided(t: Term, undecided: list) -> UndecidedError:
+    return UndecidedError(
+        f"essentiality undecided at positions {undecided} of {t}", query=(t, undecided)
+    )
 
 
 def essential_positions(t: Term, theory: Theory) -> frozenset:

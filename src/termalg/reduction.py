@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import NotReducibleError, NotRemovableError
-from .essentiality import decided_report
+from .essentiality import decided_report, least_fictive
 from .terms import (
     Position,
     Term,
@@ -222,16 +222,17 @@ def _step(t: Term, redex) -> Term:
 def _minimal_redex(t: Term, theory: Theory, mode: str):
     """min(_redexes(t, theory, mode)), or None when there is none.
 
-    Mode "E" reads t's own report instead of building Rm.  A position
-    fictive in a subterm t|s is fictive in t, by congruence, so below a
-    root that is not fictive the least fictive position is outermost and
-    lies below every member of Rm: it is min(Rm(t)).  A fictive root makes
+    Mode "E" reads t's essentiality scan only as far as its least fictive
+    position, instead of building Rm or t's report.  A position fictive in
+    a subterm t|s is fictive in t, by congruence, so below a root that is
+    not fictive the least fictive position is outermost and lies below
+    every member of Rm: it is min(Rm(t)).  A fictive root (index 0) makes
     every position fictive but none removable, so t is a normal form.
     """
     if mode != "E":
         return min(_redexes(t, theory, mode), default=None)
-    fictive = decided_report(t, theory).fictive_positions
-    return None if () in fictive else min(fictive, default=None)
+    i = least_fictive(t, theory)
+    return positions(t)[i] if i else None
 
 
 def normal_form(t: Term, theory: Theory, mode: str):

@@ -16,10 +16,11 @@ from termalg.compose import (
     star_compose,
 )
 from termalg.errors import UndecidedError
-from termalg.essentiality import _compute_report, decided_report
+from termalg.essentiality import _compute_report, decided_report, least_fictive
 from termalg.reduction import (
     ReduciblePair,
     ReductionTrace,
+    _minimal_redex,
     normal_form,
     reduce_with_strategy,
     reducible_pairs,
@@ -33,8 +34,10 @@ from termalg.terms import (
     prefix_leq,
     proper_prefix,
     random_term,
+    rename_canonical,
     replace_at,
     subterm_at,
+    variables,
 )
 from termalg.theories import AxiomsTheory, Identity, OracleConfig
 
@@ -248,6 +251,40 @@ def test_a_fictive_root_is_an_e_normal_form():
         assert all(reduce_with_strategy(t, thy, "E", seed) == t for seed in range(3))
 
 
+def scanned_questions(verdicts):
+    """How many questions the essentiality scan of a decided term asks up to
+    its least fictive index: one per essential index before it, one for it."""
+    return verdicts.index(True) + 1 if True in verdicts else len(verdicts)
+
+
+@pytest.mark.parametrize("name", (*EXACT_THEORIES, TRIVIAL))
+def test_exact_theories_scan_t_as_its_renaming(name):
+    # a renaming is an automorphism of the free algebra, so the verdicts at
+    # each position of t are those of rename_canonical(t); terms whose first
+    # leaf is not x1 are renamed
+    thy = shared_theory(name)
+    terms = [t for t in seeded_terms(29, 60) if variables(t)[0] != 1]
+    asked = reported = 0
+    for t in terms:
+        verdicts = _compute_report(t, thy).verdicts
+        assert rename_canonical(t) is not t
+        assert verdicts == _compute_report(rename_canonical(t), thy).verdicts, t
+        assert least_fictive(t, thy) == (verdicts.index(True) if True in verdicts else None), t
+        # each E step asks no more questions than the scan up to the least
+        # fictive position of its term, where the report would ask them all
+        _, trace = normal_form(t, thy, "E")
+        for u in [t] + [result for _, _, result in trace.steps]:
+            u_verdicts = _compute_report(u, thy).verdicts
+            step_asked, _ = questions(thy, lambda: _minimal_redex(u, thy, "E"))
+            assert len(step_asked) <= scanned_questions(u_verdicts), (t, u)
+            asked += len(step_asked)
+            reported += len(questions(thy, lambda: _compute_report(u, thy))[0])
+    # a regular theory has no fictive position, and a fictive root is one
+    # question either way: elsewhere some report asks past the least one
+    assert len(terms) > 20 and asked <= reported
+    assert (asked < reported) == (name not in (*REGULAR_THEORIES, TRIVIAL))
+
+
 # --- bounded theories keep asking the oracle, in the same order -----------------
 
 
@@ -312,3 +349,30 @@ def test_bounded_theories_ask_the_same_questions(axiom):
             assert got == questions(b, lambda: ref(t, r, b)), (name, t, r)
             asked[name] += len(got[0])
     assert min(asked.values()) > 50
+
+
+@pytest.mark.parametrize("axiom", BOUNDED_AXIOMS)
+def test_least_fictive_asks_a_prefix_of_the_report_questions(axiom):
+    # a bounded theory scans rename_canonical(t), as its report does, and
+    # stops after the first answer that is not False
+    rng = random.Random(20)
+    terms = [random_term(rng, 4, 3) for _ in range(25)]
+    stopped = 0
+    for t in terms + [parse_term(text) for text in VISIT_ORDER_TERMS]:
+        a, b = (
+            AxiomsTheory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
+            for _ in range(2)
+        )
+        asked, got = questions(a, lambda: least_fictive(t, a))
+        all_asked, report = questions(b, lambda: _compute_report(rename_canonical(t), b))
+        assert asked == all_asked[: len(asked)], t
+        stop = next((i for i, v in enumerate(report.verdicts) if v is not False), None)
+        if stop is None:
+            assert got is None and asked == all_asked, t
+        else:
+            assert len(asked) == stop + 1, t
+            assert got == (stop if report.verdicts[stop] else f"essentiality undecided at "
+                           f"positions {[positions(t)[stop]]} of {t}"), t
+            stopped += len(asked) < len(all_asked)
+    # idempotency (the first axiom) makes no position fictive
+    assert (stopped > 0) == (axiom != BOUNDED_AXIOMS[0])

@@ -76,6 +76,24 @@ class TestUndecidedQueries:
         assert code == 1
         assert "undecided" in capsys.readouterr().err
 
+    def test_e_normal_form_needs_positions_up_to_the_least_fictive_one(self):
+        # Σ2 as a bounded theory: position (1, 2, 1) of t is fictive, but two
+        # proof steps do not show it and no model refutes it, so t's report
+        # is undecided; the least fictive position, (1, 1), comes first, and
+        # the normal form and trace match the exact Σ2 theory's
+        t = parse_term("f(f(f(x2,x3),f(x2,x2)),x1)")
+        thy = AxiomsTheory(
+            (Identity.parse("f(f(x1,x2),x3)=f(x2,x3)"),),
+            OracleConfig(max_model_size=3, max_deduction_steps=2),
+        )
+        with pytest.raises(UndecidedError, match=r"\[\(1, 2, 1\)\]"):
+            essential_positions(t, thy)
+        exact = theory_from_name("grp-rule:f(f(x1,x2),x3)=f(x2,x3)")
+        nf, trace = normal_form(t, thy, "E")
+        assert (nf, trace) == normal_form(t, exact, "E")
+        assert nf == parse_term("f(x2,x1)")
+        assert [position for _, position, _ in trace.steps] == [(1, 1), (1, 1)]
+
 
 # a bounded theory: its axiom instance is proved by the BFS
 BOUNDED_AXIOM = "f(f(x1,x2),x1)=f(x1,x1)"
