@@ -7,7 +7,7 @@ to the JSON serialization of the underlying module.
 
 Exit status: 0 on success, 1 on domain errors (undecided queries, bad
 positions, parse failures), 2 on usage errors.  ``scenarios`` exits 0 iff
-every registered scenario passes.
+no registered scenario fails; one without checks is reported as a gap.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .compose import sigma_compose, sigma_match_positions, sigma_position_sets, star_compose
 from .deduction import SweepBounds, certificate_to_json, check_stability
@@ -213,18 +214,25 @@ def _cmd_stability(args):
     return _emit(args, report.to_json(), lines)
 
 
+_SCENARIO_STATUS = {True: "PASS", False: "FAIL", None: "GAP"}
+
+
 def _cmd_scenarios(args):
     results = run_all()
     payload = [
-        {"name": name, "passed": passed, "detail": detail} for name, passed, detail in results
+        {"name": name, "passed": passed, "status": _SCENARIO_STATUS[passed], "detail": detail}
+        for name, passed, detail in results
     ]
     lines = [
-        f"{'PASS' if passed else 'FAIL'}  {name}: {detail}" for name, passed, detail in results
+        f"{_SCENARIO_STATUS[passed]:<4}  {name}: {detail}" for name, passed, detail in results
     ]
-    failures = sum(1 for _, passed, _ in results if not passed)
-    lines.append(f"{len(results) - failures}/{len(results)} scenarios passed")
+    counts = Counter(_SCENARIO_STATUS[passed] for _, passed, _ in results)
+    lines.append(
+        f"{counts['PASS']}/{len(results)} scenarios passed, "
+        f"{counts['FAIL']} failed, {counts['GAP']} without checks (GAP)"
+    )
     _emit(args, payload, lines)
-    return 0 if failures == 0 else 1
+    return 0 if counts["FAIL"] == 0 else 1
 
 
 def _cmd_arrays(args):

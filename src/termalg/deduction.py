@@ -16,6 +16,7 @@ only up to the sweep bounds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .algebras import eval_term, satisfies
@@ -406,16 +407,58 @@ def _compose_for(mode):
 
 
 def _sweep_exact(theory, mode, bounds, report, u):
+    """Sweep every key bucket of the enumerated terms, once per renaming orbit.
+
+    A bucket holds the enumerated terms of one key.  Each essential-subterm
+    class of a bucket groups the members that have it; a group whose
+    compositions with the class's representative r fall into two or more
+    classes gives one violation per class after the first.
+
+    A permutation π of x1..xv maps the enumeration onto itself, and with an
+    exact theory key(πt) = key(πs) exactly when key(t) = key(s).  So the image
+    πB of a bucket B is a bucket, and the buckets fall into orbits.  The
+    first bucket of an orbit to be visited, its representative, composes
+    every member of every group and keeps each group's partition by composed
+    class; it registers key(π(first member)) for every π, so each later
+    bucket B' = πB of the orbit is known as an image before it is visited.
+    An image reads the partition through π⁻¹ instead of composing:
+
+    * essentiality commutes with renaming (one report serves a whole
+      rename_canonical class), so the group of B' for r' is π applied to the
+      group of B for the class of π⁻¹r';
+    * compositions depend on r only through its class, and π fixes u =
+      x_{v+1}, so compose(πt, r', u) = π·compose(t, r, u) when r' ≈ πr; the
+      partition of the group of B' by composed class is therefore the image
+      of the partition of the group of B.
+
+    Where a group of an image splits, the image composes the first member
+    of each composed class in group order, which is the composition a full
+    sweep keeps of that class.  What does not commute with π it computes
+    afresh: its representatives (term_sort_key is not π-invariant) and the
+    counter-models of its violations.  So the report is the one a sweep
+    gives in which every bucket composes every member.
+    """
     compose = _compose_for(mode)
+    key = theory._cached_key
     # every subterm of an enumerated term is enumerated, so one sort ranks them
     # all; buckets filled in rank order come in order and list members in order
     ranked = sorted(enumerate_terms(bounds.max_depth, bounds.max_vars), key=term_sort_key)
     rank = {t: i for i, t in enumerate(ranked)}
     buckets = {}
     for t in ranked:
-        buckets.setdefault(theory._cached_key(t), []).append(t)
+        buckets.setdefault(key(t), []).append(t)
+    # the renamings of x1..xv other than the identity, each with its inverse;
+    # u = x_{v+1} is fixed by all of them
+    variables = range(1, bounds.max_vars + 1)
+    renamings = [
+        ({i: Var(j) for i, j in zip(variables, image)},
+         {j: Var(i) for i, j in zip(variables, image)})
+        for image in itertools.permutations(variables)
+    ][1:]
+    # image bucket's key -> (its representative's partitions, π⁻¹)
+    images = {}
 
-    for members in buckets.values():
+    for bucket_key, members in buckets.items():
         if len(members) < 2:
             continue
         # essential-subterm classes per member, keyed by canonical form
@@ -433,6 +476,19 @@ def _sweep_exact(theory, mode, bounds, report, u):
                     rep_for_class[sub_key] = sub
             classes_of[t] = keys
 
+        image = images.pop(bucket_key, None)
+        if image is None:
+            # a representative: the composed keys of the members of each group
+            # that splits, by class; every image of it reads them
+            partitions = {}
+            for forward, inverse in renamings:
+                image_key = key(substitute(members[0], forward))
+                if image_key != bucket_key and image_key not in images:
+                    images[image_key] = (partitions, inverse)
+        else:
+            partitions, inverse = image
+            preimage = {t: substitute(t, inverse) for t in members} if partitions else None
+
         for sub_key in sorted(rep_for_class, key=lambda k: rank[rep_for_class[k]]):
             r = rep_for_class[sub_key]
             group = [t for t in members if sub_key in classes_of[t]]
@@ -440,9 +496,25 @@ def _sweep_exact(theory, mode, bounds, report, u):
                 continue
             report.candidates += len(group)
             composed = {}
-            for t in group:
-                result = compose(t, r, u, theory)
-                composed.setdefault(theory._cached_key(result), (t, result))
+            if image is None:
+                partition = {}
+                for t in group:
+                    result = compose(t, r, u, theory)
+                    partition[t] = result_key = key(result)
+                    composed.setdefault(result_key, (t, result))
+                if len(composed) > 1:
+                    partitions[sub_key] = partition
+            else:
+                # a group has a partition only if it splits
+                partition = partitions.get(key(substitute(r, inverse))) if partitions else None
+                if partition is None:
+                    continue
+                firsts = {}
+                for t in group:
+                    firsts.setdefault(partition[preimage[t]], t)
+                for t in firsts.values():
+                    result = compose(t, r, u, theory)
+                    composed.setdefault(key(result), (t, result))
             if len(composed) > 1:
                 outcomes = sorted(composed.values(), key=lambda pair: term_sort_key(pair[1]))
                 (t0, left), rest = outcomes[0], outcomes[1:]

@@ -2,9 +2,10 @@
 
 Each scenario re-derives one worked example end to end — position sets,
 compositions, normal forms, closure memberships, or small stability sweeps —
-and compares the results exactly against the expected values.  The CLI
-`scenarios` command runs the whole registry and exits 0 iff every scenario
-passes.
+and compares the results exactly against the expected values.  A scenario
+with no check to run is a gap, neither passed nor failed.  The CLI
+`scenarios` command runs the whole registry and exits 0 iff no scenario
+fails.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .theories import (
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named golden check: run() -> (passed, detail)."""
+    """A named golden check: run() -> (passed, detail), where passed is None
+    for a gap, a scenario that has no check to run."""
 
     name: str
     description: str
@@ -50,7 +52,7 @@ class Scenario:
     def run(self):
         checks = self.builder()
         if not checks:
-            return True, "no executable instances (documented interpretation gap)"
+            return None, "no executable instances (documented interpretation gap)"
         failures = [
             f"{label}: expected {expected!r}, got {actual!r}"
             for label, actual, expected in checks
@@ -429,7 +431,7 @@ def named_scenarios():
 
 
 def run_all():
-    """[(name, passed, detail)] for the whole registry."""
+    """[(name, passed, detail)] for the whole registry; passed is None for a gap."""
     out = []
     for scenario in named_scenarios():
         try:

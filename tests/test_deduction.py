@@ -2,14 +2,18 @@
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 
 from termalg.algebras import FiniteAlgebra, eval_term, satisfies
+from termalg.compose import sigma_compose, star_compose
 from termalg.deduction import (
     ClosureBounds,
     RULE_TAGS,
+    StabilityReport,
     SweepBounds,
+    Violation,
     apply_rule,
     bounded_closure,
     certificate_to_json,
@@ -17,10 +21,12 @@ from termalg.deduction import (
     validate_report,
 )
 from termalg.errors import SideConditionError
-from termalg.terms import Var, parse_term, var_set
-from termalg.theories import CounterModel, Identity, theory_from_name
+from termalg.essentiality import decided_report
+from termalg.terms import Var, enumerate_terms, parse_term, preorder, var_set
+from termalg.theories import REFUTED, CounterModel, Identity, term_sort_key, theory_from_name
 
 from conftest import shared_theory
+from test_key_vectors import EXACT_THEORIES
 
 _ASSOC_REPORT = None
 
@@ -237,3 +243,85 @@ class TestSweeps:
         assert doc["size"] >= 2
         proved = commutative.decide(parse_term("f(x1,x2)"), parse_term("f(x2,x1)"))
         assert certificate_to_json(proved.certificate)["kind"] == "derivation"
+
+
+# --- reference: the exact sweep that composes every member of every bucket ---
+
+
+def ref_sweep_exact(theory, mode, bounds):
+    """check_stability on an exact theory, with every bucket swept on its own."""
+    compose = sigma_compose if mode == "SigmaR1" else star_compose
+    report = StabilityReport(theory, mode, bounds)
+    u = Var(bounds.max_vars + 1)
+    ranked = sorted(enumerate_terms(bounds.max_depth, bounds.max_vars), key=term_sort_key)
+    rank = {t: i for i, t in enumerate(ranked)}
+    buckets = {}
+    for t in ranked:
+        buckets.setdefault(theory._cached_key(t), []).append(t)
+    for members in buckets.values():
+        if len(members) < 2:
+            continue
+        rep_for_class = {}
+        classes_of = {}
+        for t in members:
+            verdicts = decided_report(t, theory).verdicts
+            keys = set()
+            for sub, sub_key, fictive in zip(preorder(t), theory.key_vector(t), verdicts):
+                if fictive:
+                    continue
+                keys.add(sub_key)
+                prior = rep_for_class.get(sub_key)
+                if prior is None or rank[sub] < rank[prior]:
+                    rep_for_class[sub_key] = sub
+            classes_of[t] = keys
+        for sub_key in sorted(rep_for_class, key=lambda k: rank[rep_for_class[k]]):
+            r = rep_for_class[sub_key]
+            group = [t for t in members if sub_key in classes_of[t]]
+            if len(group) < 2:
+                continue
+            report.candidates += len(group)
+            composed = {}
+            for t in group:
+                result = compose(t, r, u, theory)
+                composed.setdefault(theory._cached_key(result), (t, result))
+            if len(composed) > 1:
+                outcomes = sorted(composed.values(), key=lambda pair: term_sort_key(pair[1]))
+                (t0, left), rest = outcomes[0], outcomes[1:]
+                for s0, right in rest:
+                    verdict = theory.decide(left, right)
+                    assert verdict.outcome == REFUTED
+                    report.violations.append(
+                        Violation(t0, s0, r, u, left, right, verdict.certificate)
+                    )
+    return report
+
+
+NODE_COLLAPSE = "grp-rule:f(f(x1,x2),x3)=f(x2,x1)"
+ORBIT_CASES = [(name, SweepBounds(2, 3, 1)) for name in EXACT_THEORIES] + [
+    (name, bounds)
+    for name in ("commutative", "assoc", NODE_COLLAPSE)
+    for bounds in (SweepBounds(3, 1, 1), SweepBounds(3, 2, 1))
+]
+
+
+@pytest.mark.parametrize("mode", ("SigmaR1", "SR1"))
+@pytest.mark.parametrize(
+    "name,bounds",
+    ORBIT_CASES,
+    ids=[f"{name}-{b.max_depth}{b.max_vars}{b.max_u_size}" for name, b in ORBIT_CASES],
+)
+def test_orbit_sweep_matches_reference(name, bounds, mode):
+    # each side gets its own theory, so neither reads answers the other cached
+    got, want = (
+        json.dumps(report.to_json(), sort_keys=True)
+        for report in (
+            check_stability(theory_from_name(name), mode, bounds),
+            ref_sweep_exact(theory_from_name(name), mode, bounds),
+        )
+    )
+    # a plain flag: pytest's own diff of two long one-line strings takes minutes
+    same = got == want
+    first = next(
+        (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+    )
+    assert same, f"reports differ from character {first}: {got[max(0, first - 40):first + 80]!r}"
