@@ -220,8 +220,7 @@ _SCENARIO_STATUS = {True: "PASS", False: "FAIL", None: "GAP"}
 def _cmd_scenarios(args):
     results = run_all()
     payload = [
-        {"name": name, "passed": passed, "status": _SCENARIO_STATUS[passed], "detail": detail}
-        for name, passed, detail in results
+        {"name": name, "passed": passed, "detail": detail} for name, passed, detail in results
     ]
     lines = [
         f"{_SCENARIO_STATUS[passed]:<4}  {name}: {detail}" for name, passed, detail in results

@@ -16,7 +16,6 @@ only up to the sweep bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebras import eval_term, satisfies
@@ -418,10 +417,14 @@ def _sweep_exact(theory, mode, bounds, report, u):
     exact theory key(πt) = key(πs) exactly when key(t) = key(s).  So the image
     πB of a bucket B is a bucket, and the buckets fall into orbits.  The
     first bucket of an orbit to be visited, its representative, composes
-    every member of every group and keeps each group's partition by composed
-    class; it registers key(π(first member)) for every π, so each later
-    bucket B' = πB of the orbit is known as an image before it is visited.
-    An image reads the partition through π⁻¹ instead of composing:
+    every member of every group and keeps each splitting group's partition
+    by composed class.  It finds the rest of its orbit by a breadth-first
+    search over two generators of S_v (the swap of x1 and x2, and the cycle
+    x1 -> x2 -> ... -> xv -> x1): one renamed member per bucket and
+    generator, so the search keys two terms per bucket of the orbit, not v!
+    per bucket.  Each later bucket B' = πB of the orbit is then known as an
+    image before it is visited, with π kept on the variables of B, and
+    reads the partition through π⁻¹ instead of composing:
 
     * essentiality commutes with renaming (one report serves a whole
       rename_canonical class), so the group of B' for r' is π applied to the
@@ -447,15 +450,15 @@ def _sweep_exact(theory, mode, bounds, report, u):
     buckets = {}
     for t in ranked:
         buckets.setdefault(key(t), []).append(t)
-    # the renamings of x1..xv other than the identity, each with its inverse;
-    # u = x_{v+1} is fixed by all of them
-    variables = range(1, bounds.max_vars + 1)
-    renamings = [
-        ({i: Var(j) for i, j in zip(variables, image)},
-         {j: Var(i) for i, j in zip(variables, image)})
-        for image in itertools.permutations(variables)
-    ][1:]
-    # image bucket's key -> (its representative's partitions, π⁻¹)
+    # generators of the renamings of x1..xv, as index maps and as substitutions;
+    # u = x_{v+1} is fixed by both
+    v = bounds.max_vars
+    generators = [{1: 2, 2: 1}] if v >= 2 else []
+    if v >= 3:
+        generators.append({i: i % v + 1 for i in range(1, v + 1)})
+    generators = [(g, {i: Var(j) for i, j in g.items()}) for g in generators]
+    # image bucket's key -> (its representative's partitions, π on the
+    # representative's variables)
     images = {}
 
     for bucket_key, members in buckets.items():
@@ -478,16 +481,23 @@ def _sweep_exact(theory, mode, bounds, report, u):
 
         image = images.pop(bucket_key, None)
         if image is None:
-            # a representative: the composed keys of the members of each group
-            # that splits, by class; every image of it reads them
+            # a representative: its orbit, each bucket with the π that maps
+            # this bucket onto it; the images read the partitions it fills
             partitions = {}
-            for forward, inverse in renamings:
-                image_key = key(substitute(members[0], forward))
-                if image_key != bucket_key and image_key not in images:
-                    images[image_key] = (partitions, inverse)
+            orbit = {bucket_key: {i: i for t in members for i in var_set(t)}}
+            queue = [bucket_key]
+            for orbit_key in queue:
+                pi, t = orbit[orbit_key], buckets[orbit_key][0]
+                for g, renaming in generators:
+                    next_key = key(substitute(t, renaming))
+                    if next_key not in orbit:
+                        orbit[next_key] = {i: g.get(j, j) for i, j in pi.items()}
+                        queue.append(next_key)
+            for orbit_key in queue[1:]:
+                images[orbit_key] = (partitions, orbit[orbit_key])
         else:
-            partitions, inverse = image
-            preimage = {t: substitute(t, inverse) for t in members} if partitions else None
+            partitions, pi = image
+            inverse = {j: Var(i) for i, j in pi.items()}
 
         for sub_key in sorted(rep_for_class, key=lambda k: rank[rep_for_class[k]]):
             r = rep_for_class[sub_key]
@@ -495,27 +505,25 @@ def _sweep_exact(theory, mode, bounds, report, u):
             if len(group) < 2:
                 continue
             report.candidates += len(group)
-            composed = {}
-            if image is None:
-                partition = {}
-                for t in group:
-                    result = compose(t, r, u, theory)
-                    partition[t] = result_key = key(result)
-                    composed.setdefault(result_key, (t, result))
-                if len(composed) > 1:
-                    partitions[sub_key] = partition
-            else:
-                # a group has a partition only if it splits
-                partition = partitions.get(key(substitute(r, inverse))) if partitions else None
+            if image is not None:
+                # only a group that split in the representative splits here;
+                # its first member of each composed class stands for the class
+                partition = partitions.get(key(substitute(r, inverse)))
                 if partition is None:
                     continue
                 firsts = {}
                 for t in group:
-                    firsts.setdefault(partition[preimage[t]], t)
-                for t in firsts.values():
-                    result = compose(t, r, u, theory)
-                    composed.setdefault(key(result), (t, result))
+                    firsts.setdefault(partition[substitute(t, inverse)], t)
+                group = firsts.values()
+            partition = {}
+            composed = {}
+            for t in group:
+                result = compose(t, r, u, theory)
+                partition[t] = result_key = key(result)
+                composed.setdefault(result_key, (t, result))
             if len(composed) > 1:
+                if image is None:
+                    partitions[sub_key] = partition
                 outcomes = sorted(composed.values(), key=lambda pair: term_sort_key(pair[1]))
                 (t0, left), rest = outcomes[0], outcomes[1:]
                 for s0, right in rest:
