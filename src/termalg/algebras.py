@@ -93,6 +93,31 @@ class ModelStack:
         n = self.size
         return [FiniteAlgebra.from_flat(n, row) for row in self.flat.reshape(-1, n * n).tolist()]
 
+    @cached_property
+    def classes(self) -> "ModelStack":
+        """The first model of each isomorphism class, in stack order (built on
+        first use).
+
+        A model's canonical code is the least, over every permutation p of
+        the carrier, of the base-size encoding of its relabelled table
+        p[T[p⁻¹][:, p⁻¹]]; models with one code are isomorphic.
+        """
+        import numpy as np
+
+        n = self.size
+        if len(self) < 2:
+            return self
+        tables = self.flat.reshape(-1, n, n)
+        weights = n ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        code = None
+        for p in itertools.permutations(range(n)):
+            p = np.array(p, dtype=np.intp)
+            inv = np.argsort(p)
+            relabelled = p[tables[:, inv][:, :, inv]].reshape(len(self), n * n) @ weights
+            code = relabelled if code is None else np.minimum(code, relabelled)
+        _, first = np.unique(code, return_index=True)
+        return ModelStack(n, tables[np.sort(first)])
+
 
 @lru_cache(maxsize=64)
 def _assignments(n: int, k: int):

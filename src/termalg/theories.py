@@ -577,9 +577,19 @@ class Theory:
 
     def refute(self, t: Term, s: Term):
         """(model, assignment) distinguishing t and s, or None: the first hit
-        over the models of size 2 ... max_model_size, with no memo."""
+        over the models of size 2 ... max_model_size, with no memo.
+
+        Each size scans only the first model of each isomorphism class
+        (`ModelStack.classes`) and still returns the full scan's first hit.
+        A carrier permutation π maps a model M that separates t and s under
+        an assignment a to π(M), which separates them under π∘a; so the
+        separating models of a stack are a union of classes, and the first
+        of them in stack order is the first member of its class.  It is the
+        same table, so its first separating assignment, row-major, is the
+        same too.
+        """
         for size in range(2, self.config.max_model_size + 1):
-            found = distinguish_over_models(self._model_stack(size), t, s)
+            found = distinguish_over_models(self._model_stack(size).classes, t, s)
             if found is not None:
                 return found
         return None
@@ -645,15 +655,17 @@ class Theory:
         rewrite path from t to s, or None.
 
         The search runs on flat codes and rebuilds terms only for the path
-        it returns.  A budget of max_deduction_steps = k expands at most k
-        terms.
+        it returns.  Each side maps a code to the code it was discovered
+        from (None at its root), and the path is read back along both maps
+        only when the sides meet.  A budget of max_deduction_steps = k
+        expands at most k terms.
         """
         if t == s:
             return (t,)
         steps = 0
         limit = self.config.max_deduction_steps
         a, b = flat_code(t), flat_code(s)
-        side_a, side_b = {a: (a,)}, {b: (b,)}
+        side_a, side_b = {a: None}, {b: None}
         frontier_a, frontier_b = deque([a]), deque([b])
         while frontier_a and frontier_b and steps < limit:
             # expand the smaller frontier
@@ -669,9 +681,9 @@ class Theory:
                 for n in self._neighbors(u):
                     if n in seen:
                         continue
-                    seen[n] = seen[u] + (n,)
+                    seen[n] = u
                     if n in other:
-                        path = side_a[n] + side_b[n][-2::-1]
+                        path = _walk_back(side_a, n)[::-1] + _walk_back(side_b, side_b[n])
                         return tuple(from_flat_code(c) for c in path)
                     frontier.append(n)
         return None
@@ -838,6 +850,16 @@ def _replacement_pool(code, end) -> list:
             if len(composite) == 3:
                 break
     return pool + composite
+
+
+def _walk_back(parents, code) -> list:
+    """code, the code it was discovered from, and so on up to the root of
+    one side of _bfs_prove; [] for None."""
+    path = []
+    while code is not None:
+        path.append(code)
+        code = parents[code]
+    return path
 
 
 def _is_associativity(ax: Identity) -> bool:

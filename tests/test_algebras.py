@@ -178,3 +178,87 @@ class TestModelEngine:
                 assert got == (scan_for_difference(algebra, axiom.lhs, axiom.rhs) is None)
                 outcomes.add(got)
         assert outcomes == {True, False}
+
+
+def scan_for_classes(stack):
+    """The stack's models whose canonical form, the least of the tables
+    relabelled by every carrier permutation, no earlier model had."""
+    n = stack.size
+    seen, kept = set(), []
+    for m in stack.algebras:
+        forms = []
+        for p in itertools.permutations(range(n)):
+            table = [[None] * n for _ in range(n)]
+            for a, b in itertools.product(range(n), repeat=2):
+                table[p[a]][p[b]] = p[m.table[a][b]]
+            forms.append(tuple(map(tuple, table)))
+        form = min(forms)
+        if form not in seen:
+            seen.add(form)
+            kept.append(m)
+    return kept
+
+
+def reversed_stack(stack):
+    return ModelStack(stack.size, [m.table for m in reversed(stack.algebras)])
+
+
+class TestIsomorphismClasses:
+    """``ModelStack.classes``: the first model of each isomorphism class."""
+
+    @pytest.mark.parametrize(
+        "spec, counts",
+        [
+            ("assoc", (5, 24)),  # semigroups up to isomorphism, OEIS A027851
+            ("commutative", (4, 129)),  # commutative groupoids, OEIS A001425
+        ],
+    )
+    def test_class_counts(self, spec, counts):
+        thy = build_theory(spec)
+        assert tuple(len(thy._model_stack(n).classes) for n in (2, 3)) == counts
+
+    @pytest.mark.parametrize("spec", ["idempotent", "assoc", "axioms:f(f(x1,x1),x2)=f(x2,x2)"])
+    def test_classes_match_a_scalar_scan(self, spec):
+        thy = build_theory(spec)
+        for n in (2, 3):
+            # a model stack lists each class's least encoding first; the
+            # reversed stack checks that any order is kept
+            for stack in (thy._model_stack(n), reversed_stack(thy._model_stack(n))):
+                assert stack.classes.algebras == scan_for_classes(stack)
+                assert len(stack.classes) < len(stack)
+
+    def test_stacks_of_fewer_than_two_models_come_back_unchanged(self):
+        thy = build_theory("grp-rule:f(x1,x2)=x3")
+        for n in (1, 2, 3):
+            stack = thy._model_stack(n)
+            assert len(stack) == (n == 1)
+            assert stack.classes is stack
+        one = ModelStack(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])  # Z3
+        assert one.classes is one
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "idempotent",
+            "commutative",
+            "assoc",
+            "grp-rule:f(f(x1,x2),x3)=f(x2,x3)",
+            "sg-abs-1-2",
+            "axioms:f(f(x1,x1),x2)=f(x2,x2)",
+            "axioms:f(f(x1,x2),x1)=f(x1,x1)",
+        ],
+    )
+    def test_refutation_over_classes_returns_the_full_scan_witness(self, spec):
+        thy = build_theory(spec)
+        terms = list(enumerate_terms_by_length(5, 4))
+        rng = random.Random(spec)
+        pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(150)]
+        pairs += [(t, t) for t in rng.sample(terms, 5)]
+        outcomes = set()
+        for n in (2, 3):
+            for stack in (thy._model_stack(n), reversed_stack(thy._model_stack(n))):
+                for t, s in pairs:
+                    found = distinguish_over_models(stack, t, s)
+                    assert distinguish_over_models(stack.classes, t, s) == found, (n, t, s)
+                    outcomes.add(found is None)
+        assert outcomes == {True, False}
