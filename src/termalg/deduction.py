@@ -118,8 +118,13 @@ def apply_rule(rule: str, premises, data=None, theory: Theory | None = None) -> 
                 f"{rule}: {term_to_text(r)} is not an essential subterm of the "
                 f"{side_name} side {term_to_text(side)}"
             )
-    compose = sigma_compose if rule == "SigmaR1" else star_compose
+    compose = _compose_for(rule)
     return Identity(compose(t, r, u, theory), compose(s, r, u, theory))
+
+
+def _compose_for(rule):
+    """The composition of rule SigmaR1 or SR1, which a sweep's mode names."""
+    return sigma_compose if rule == "SigmaR1" else star_compose
 
 
 def _need_premises(rule, premises, count):
@@ -399,10 +404,6 @@ def check_stability(
         report.exhaustive = False
         _sweep_bounded(theory, mode, bounds, report, u)
     return report
-
-
-def _compose_for(mode):
-    return sigma_compose if mode == "SigmaR1" else star_compose
 
 
 def _sweep_exact(theory, mode, bounds, report, u):

@@ -31,7 +31,6 @@ from .terms import (
     proper_prefix,
     replace_at,
     subterm_at,
-    subtree_ends,
     term_to_text,
 )
 from .theories import Theory
@@ -115,55 +114,36 @@ _tail = attrgetter("q")
 def reducible_pairs(t: Term, theory: Theory) -> frozenset:
     """Rd(t): the outermost heads with their maximal tails, plus q + Rd(t|q)
     for each of their tails q."""
-    layer = _outermost_pairs_by_key if theory.exact else _outermost_pairs
-    return _closure(t, theory, theory._rd_cache, layer, _tail)
+    return _closure(t, theory, theory._rd_cache, _outermost_pairs, _tail)
 
 
-def _outermost_pairs_by_key(t: Term, theory: Theory) -> set:
-    """The outermost heads of t with their maximal tails, read off the key
-    vector of an exact theory as index ranges."""
-    keys = theory.key_vector(t)
-    ends = subtree_ends(t)
+def _outermost_pairs(t: Term, theory: Theory) -> set:
+    """The outermost heads of t with their maximal tails, over preorder
+    indexes.  The tails of a candidate head i are the j in its block equal
+    to it: an exact theory reads them off its key vector, a bounded one asks
+    holds(t|i, t|j) for each j in the block, in order."""
+    subterms = preorder(t)
+    keys = theory.key_vector(t) if theory.exact else None
     pairs, i = [], 0
-    while i < len(keys):
-        key, end = keys[i], ends[i]
-        if key not in keys[i + 1 : end]:
+    while i < len(subterms):
+        end = i + 2 * subterms[i].size + 1
+        if keys is None:
+            tails = [j for j in range(i + 1, end) if theory.holds(subterms[i], subterms[j])]
+        elif keys[i] in keys[i + 1 : end]:
+            tails = [j for j in range(i + 1, end) if keys[j] == keys[i]]
+        else:
+            tails = None
+        if not tails:
             i += 1
             continue
         # an outermost head, since no position above it was one; a tail is
         # maximal when the next equal position is not below it
-        tails = [j for j in range(i + 1, end) if keys[j] == key]
         for j, after in zip(tails, tails[1:] + [end]):
-            if after >= ends[j]:
+            if after >= j + 2 * subterms[j].size + 1:
                 pairs.append((i, j))
         i = end  # the positions below a head are no outermost heads
     pos = positions(t) if pairs else ()
     return {ReduciblePair(pos[i], pos[j]) for i, j in pairs}
-
-
-def _outermost_pairs(t: Term, theory: Theory) -> set:
-    """The outermost heads of t with their maximal tails, asking the oracle
-    about every nested pair of positions."""
-    pos = positions(t)
-
-    def eq(a, b):
-        return theory.holds(subterm_at(t, a), subterm_at(t, b))
-
-    heads = set()
-    for p in pos:
-        if any(proper_prefix(p, q) and eq(p, q) for q in pos):
-            heads.add(p)
-    minimal_heads = {p for p in heads if not any(proper_prefix(h, p) for h in heads)}
-
-    pairs = set()
-    for p in minimal_heads:
-        for q in pos:
-            if not proper_prefix(p, q) or not eq(p, q):
-                continue
-            if any(proper_prefix(q, q2) and eq(q2, p) for q2 in pos):
-                continue  # tail not maximal
-            pairs.add(ReduciblePair(p, q))
-    return pairs
 
 
 def _sibling(x: Position) -> Position:

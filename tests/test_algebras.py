@@ -111,6 +111,14 @@ class TestEnumeration:
             FiniteAlgebra.from_rows([[0, 2], [1, 1]])
         with pytest.raises(ValueError):
             FiniteAlgebra.from_flat(2, [0, 1, 1])
+        with pytest.raises(ValueError, match="non-empty"):
+            FiniteAlgebra.from_rows([])
+        with pytest.raises(ValueError, match="size x size"):
+            FiniteAlgebra.from_rows([[0, 1], [1]])
+
+    def test_no_tables_of_size_zero(self):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            next(enumerate_tables((), 0))
 
 
 AXIOMS = tuple(

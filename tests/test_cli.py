@@ -385,6 +385,31 @@ class TestStability:
         assert doc["exhaustive"] is True
         assert doc["bounds"] == {"maxDepth": 2, "maxVars": 2, "maxReplacementSize": 1}
 
+    def test_violation_lines(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "stability",
+            "--theory",
+            "grp-rule:f(f(x1,x2),x3)=f(x1,x3)",
+            "--mode",
+            "SR1",
+            "--max-depth",
+            "3",
+            "--max-vars",
+            "1",
+            "--max-u-size",
+            "1",
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[3] == "violations: 2"
+        assert lines[6:] == [
+            "  f(x1,f(x1,x1)) = f(x1,f(f(x1,x1),x1)) | r=f(x1,x1) u=x2"
+            " -> f(x1,x2) != f(x1,f(f(x1,x1),x1))",
+            "  f(x1,f(x1,f(x1,x1))) = f(x1,f(f(x1,x1),f(x1,x1))) | r=f(x1,f(x1,x1)) u=x2"
+            " -> f(x1,x2) != f(x1,f(f(x1,x1),f(x1,x1)))",
+        ]
+
 
 class TestArraysAndDot:
     def test_arrays_exact_line(self, capsys):
@@ -484,6 +509,7 @@ class TestBounds:
             '{"kind": "semigroup-absorption", "i": "x", "j": 1}',
             '{"kind": "semigroup-absorption", "i": true, "j": 1}',
             '{"kind": "groupoid-single-rule"}',
+            '{"kind": "nope"}',
             '{"kind": "axioms", "axioms": [{"lhs": "x1"}]}',
             '{"kind": "commutative", "oracle": {"maxModelSize": "2"}}',
             "[1]",

@@ -206,6 +206,56 @@ class TestSweeps:
         )
         assert not validate_report(report)
 
+    @pytest.mark.parametrize(
+        "flaw",
+        (
+            "unproved premise",
+            "r essential in neither side",
+            "wrong left",
+            "wrong right",
+            "compositions proved equal",
+            "assignment that does not separate",
+        ),
+    )
+    def test_validate_report_rejects_a_flawed_violation(self, flaw):
+        thy = shared_theory("grp-rule:f(f(x1,x2),x3)=f(x1,x3)")
+        report = check_stability(thy, "SR1", SweepBounds(3, 1, 1))
+        assert report.violations and validate_report(report)
+        v = report.violations[0]
+        s = parse_term("f(f(x1,x1),x1)")  # proved equal to r, not to v.t
+        other = parse_term("f(x2,x1)")  # neither side's composition
+        # each record but the last drops the counter-model, so that only the
+        # named check fails it; an r essential in neither side composes to
+        # the sides themselves, so their proved equality fails it too
+        changes = {
+            "unproved premise": {"s": s, "right": star_compose(s, v.r, v.u, thy)},
+            "r essential in neither side": {"r": Var(2)},
+            "wrong left": {"left": other},
+            "wrong right": {"right": other},
+            "compositions proved equal": {
+                "u": v.r,
+                "left": star_compose(v.t, v.r, v.r, thy),
+                "right": star_compose(v.s, v.r, v.r, thy),
+            },
+        }.get(flaw)
+        if changes is not None:
+            changes["certificate"] = None
+        else:
+            model = v.certificate.algebra
+            vs = sorted(var_set(v.left) | var_set(v.right))
+            assignments = (
+                dict(zip(vs, values))
+                for values in itertools.product(range(model.size), repeat=len(vs))
+            )
+            assignment = next(
+                a
+                for a in assignments
+                if eval_term(model, v.left, a) == eval_term(model, v.right, a)
+            )
+            changes = {"certificate": CounterModel(model, tuple(sorted(assignment.items())))}
+        report.violations[0] = dataclasses.replace(v, **changes)
+        assert not validate_report(report)
+
     def test_bounded_sweep_not_exhaustive(self):
         from termalg.theories import AxiomsTheory
 

@@ -210,6 +210,12 @@ class TestPositions:
         assert out == parse_term("f(x3,f(f(x1,x2),x9))")
         assert replace_at(SAMPLE, (), Var(1)) == Var(1)
 
+    def test_replace_at_bad_position(self):
+        with pytest.raises(InvalidPositionError, match="not valid"):
+            replace_at(SAMPLE, (1, 1), Var(9))  # SAMPLE|1 is a leaf
+        with pytest.raises(InvalidPositionError, match="bad digit 3"):
+            replace_at(SAMPLE, (2, 3), Var(9))
+
     def test_prefix_predicates(self):
         assert prefix_leq((1,), (1, 2))
         assert prefix_leq((1,), (1,))

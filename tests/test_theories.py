@@ -11,6 +11,7 @@ from termalg.algebras import eval_term, satisfies
 from termalg.errors import (
     BoundsError,
     ModelSearchLimitError,
+    NonOrientableError,
     ParseError,
     TermAlgError,
 )
@@ -202,6 +203,12 @@ class TestExactDeciders:
         assert _single_rule_key(rule) is None
         thy = theory_from_name("grp-rule:" + rule.text())
         assert not thy.exact and thy.canonical_key(parse_term("f(f(x1,x2),x1)")) is None
+
+    @pytest.mark.parametrize("text", ("f(x1,x2)=f(x2,x1)", "f(x1,x1)=x2"))
+    def test_critical_pairs_need_an_orientable_rule(self, text):
+        # the sides keep their size, or the right side has a new variable
+        with pytest.raises(NonOrientableError, match="not orientable"):
+            critical_pair_check(Identity.parse(text))
 
     def test_equivalence_relation_sample(self, idempotent):
         terms = list(enumerate_terms(2, 2))
@@ -600,6 +607,10 @@ class TestNamesAndFiles:
     def test_model_size_zero_is_rejected_not_defaulted(self):
         with pytest.raises(BoundsError):
             theory_from_json({"kind": "commutative"}, max_model_size=0)
+
+    def test_unknown_kind_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown theory kind 'nope'"):
+            theory_from_json({"kind": "nope"})
 
     def test_unknown_oracle_key_is_a_parse_error(self):
         with pytest.raises(ParseError, match="maxModelSise"):
