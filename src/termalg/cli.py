@@ -114,6 +114,10 @@ def _cmd_essential(args):
     theory = _theory_of(args)
     t = parse_term(args.term)
     report = essentiality_report(t, theory)
+    # each set is built from the report's verdicts when read: read it once
+    ess_pos, fic_pos, und_pos = (
+        report.essential_positions, report.fictive_positions, report.undecided_positions
+    )
     ess_vars, fic_vars, und_vars = variable_verdicts(t, theory)
 
     def vars_text(s):
@@ -124,19 +128,19 @@ def _cmd_essential(args):
         "essentialVars": sorted(ess_vars),
         "fictiveVars": sorted(fic_vars),
         "undecidedVars": sorted(und_vars),
-        "essentialPositions": _positions_json(report.essential_positions),
-        "fictivePositions": _positions_json(report.fictive_positions),
-        "undecidedPositions": _positions_json(report.undecided_positions),
+        "essentialPositions": _positions_json(ess_pos),
+        "fictivePositions": _positions_json(fic_pos),
+        "undecidedPositions": _positions_json(und_pos),
     }
     lines = [
         f"essential vars: {vars_text(ess_vars)}",
         f"fictive vars: {vars_text(fic_vars)}",
-        f"essential positions: {_positions_text(report.essential_positions)}",
-        f"fictive positions: {_positions_text(report.fictive_positions)}",
+        f"essential positions: {_positions_text(ess_pos)}",
+        f"fictive positions: {_positions_text(fic_pos)}",
     ]
-    if und_vars or report.undecided_positions:
+    if und_vars or und_pos:
         lines.append(f"undecided vars: {vars_text(und_vars)}")
-        lines.append(f"undecided positions: {_positions_text(report.undecided_positions)}")
+        lines.append(f"undecided positions: {_positions_text(und_pos)}")
     return _emit(args, payload, lines)
 
 

@@ -45,21 +45,36 @@ from .theories import Theory
 
 @dataclass(frozen=True)
 class EssentialityReport:
-    """The positions of a term, each classified essential, fictive or undecided.
+    """The positions of the scanned term, each classified essential, fictive
+    or undecided.
 
-    Positions do not change when variables are renamed, so one report serves
-    every term in a renaming class.  verdicts lists them by preorder index:
-    False for essential, True for fictive, None for undecided.
+    verdicts lists them by preorder index: False for essential, True for
+    fictive, None for undecided.  Positions do not change when variables are
+    renamed, so one report serves every term in a renaming class.  The
+    position sets are built from term and verdicts when read, uncached.
     """
 
-    essential_positions: frozenset
-    fictive_positions: frozenset
-    undecided_positions: frozenset
+    term: Term
     verdicts: tuple
 
+    def _positions_with(self, verdict) -> frozenset:
+        return frozenset(p for p, v in zip(positions(self.term), self.verdicts) if v is verdict)
+
     @property
-    def decided(self):
-        return not self.undecided_positions
+    def essential_positions(self) -> frozenset:
+        return self._positions_with(False)
+
+    @property
+    def fictive_positions(self) -> frozenset:
+        return self._positions_with(True)
+
+    @property
+    def undecided_positions(self) -> frozenset:
+        return self._positions_with(None)
+
+    @property
+    def decided(self) -> bool:
+        return None not in self.verdicts
 
 
 def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
@@ -70,15 +85,10 @@ def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
     An exact theory computes it on t itself, a bounded one on
     ``rename_canonical(t)`` (``_scanned_term``).
     """
-    by_term = theory._essentiality_by_term
-    report = by_term.get(t)
+    cache, canon = theory._essentiality_cache, rename_canonical(t)
+    report = cache.get(canon)
     if report is None:
-        computed = theory._essentiality_cache
-        canon = rename_canonical(t)
-        report = computed.get(canon)
-        if report is None:
-            report = computed[canon] = _compute_report(_scanned_term(t, theory), theory)
-        by_term[t] = report
+        report = cache[canon] = _compute_report(_scanned_term(t, theory), theory)
     return report
 
 
@@ -134,13 +144,10 @@ def _scan(t: Term, pos, theory: Theory):
 
 
 def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
-    pos = positions(t)
-    by_verdict = {False: set(), True: set(), None: set()}  # essential, fictive, undecided
     verdicts = []
-    for i, verdict, end in _scan(t, pos, theory):
-        by_verdict[verdict].update(pos[i:end])
+    for i, verdict, end in _scan(t, positions(t), theory):
         verdicts += [verdict] * (end - i)
-    return EssentialityReport(*map(frozenset, by_verdict.values()), tuple(verdicts))
+    return EssentialityReport(t, tuple(verdicts))
 
 
 def variable_verdicts(t: Term, theory: Theory):
@@ -160,7 +167,7 @@ def decided_report(t: Term, theory: Theory) -> EssentialityReport:
     """essentiality_report(t, theory) for a caller that needs every position
     classified; raises UndecidedError otherwise."""
     report = essentiality_report(t, theory)
-    if report.undecided_positions:
+    if not report.decided:
         raise _undecided(t, sorted(report.undecided_positions))
     return report
 

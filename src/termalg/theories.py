@@ -461,15 +461,15 @@ class Theory:
         self._key = key
         self.exact = key is not None  # exact deciders never answer Unknown
         # every memo kept for this theory, by this class and by the modules
-        # built on it (essentiality, reduction); none attaches its own
+        # built on it (essentiality, reduction); none attaches its own, and
+        # each lives as long as the theory
         self._key_cache = {}  # term -> canonical key; the key function's memo
         self._key_vectors = {}  # t -> key_vector(t), exact theories only
         self._equal_cache = {}  # (t, s), both orders -> (answer, witness); see _witnessed
         self._models_by_size = {}  # size -> ModelStack of all models
-        self._essentiality_cache = {}  # rename_canonical(t) -> its position report
-        self._essentiality_by_term = {}  # t -> the same report object, shared by renaming
-        self._rd_cache = {}  # t -> reduction.reducible_pairs(t)
-        self._rm_cache = {}  # t -> reduction.removable_positions(t)
+        self._essentiality_cache = {}  # rename_canonical(t) -> its (term, verdicts) report
+        self._rd_cache = {}  # t -> reduction.reducible_pairs(t), reused by later steps
+        self._rm_cache = {}  # t -> reduction.removable_positions(t), reused by later steps
         # each axiom as two rewrite rules over flat codes, for _neighbors
         self._rules = tuple(
             _flat_rule(src, dst)

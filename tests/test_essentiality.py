@@ -36,7 +36,7 @@ def ref_compute_report(t, theory):
     has a fictive proper prefix."""
     n = max_var_index(t)
     xa, xb = Var(n + 1), Var(n + 2)
-    ess_p, fic_p, und_p = set(), set(), set()
+    ess_p, fic_p = set(), set()
     pos = positions(t)
     for p in sorted(pos):
         if any(p[:k] in fic_p for k in range(len(p))):
@@ -47,10 +47,8 @@ def ref_compute_report(t, theory):
             fic_p.add(p)
         elif verdict is False:
             ess_p.add(p)
-        else:
-            und_p.add(p)
     verdicts = tuple(True if p in fic_p else False if p in ess_p else None for p in pos)
-    return EssentialityReport(frozenset(ess_p), frozenset(fic_p), frozenset(und_p), verdicts)
+    return EssentialityReport(t, verdicts)
 
 
 class CountingTheory(AxiomsTheory):

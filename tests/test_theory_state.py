@@ -1,10 +1,12 @@
-"""Per-theory state: every memo is declared by the theory itself, and an
-undecided query surfaces as UndecidedError on every path that needs it."""
+"""Per-theory state: every memo is declared by the theory itself and lives
+as long as it, and an undecided query surfaces as UndecidedError on every
+path that needs it."""
 
 import json
 
 import pytest
 
+from termalg import reduction
 from termalg.cli import run
 from termalg.compose import sigma_compose, sigma_position_sets, star_compose
 from termalg.deduction import SweepBounds, check_stability
@@ -15,7 +17,12 @@ from termalg.essentiality import (
     essentiality_report,
     is_essential_subterm,
 )
-from termalg.reduction import normal_form, reducible_pairs, removable_positions
+from termalg.reduction import (
+    normal_form,
+    reduce_with_strategy,
+    reducible_pairs,
+    removable_positions,
+)
 from termalg.terms import parse_term
 from termalg.theories import AxiomsTheory, Identity, OracleConfig, theory_from_name
 
@@ -125,3 +132,27 @@ def test_use_attaches_no_state_to_a_theory(name):
     if not thy.exact:
         assert verdict.certificate.method == "rewrite-path"
     assert set(vars(thy)) == declared
+
+
+@pytest.mark.parametrize(
+    "mode, layer, memo, redexes",
+    [
+        ("E", "_minimal_fictive_desc", "_rm_cache", removable_positions),
+        ("S", "_outermost_pairs", "_rd_cache", reducible_pairs),
+    ],
+)
+def test_reduction_memos_live_as_long_as_the_theory(monkeypatch, mode, layer, memo, redexes):
+    """A seeded reduction computes each Rm (Rd) layer once over all its
+    steps, and asking for the start term's set again computes none."""
+    thy = theory_from_name("sg-abs-1-2")  # fresh: nothing memoised yet
+    t = parse_term("f(" * 30 + "x1" + ",x2)" * 30)
+    computed = []
+    compute = getattr(reduction, layer)
+    monkeypatch.setattr(
+        reduction, layer, lambda u, theory: computed.append(u) or compute(u, theory)
+    )
+    reduce_with_strategy(t, thy, mode, 1)
+    assert len(computed) == len(getattr(thy, memo)) > 1
+    before = len(computed)
+    assert redexes(t, thy)
+    assert len(computed) == before
