@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .errors import NotReducibleError, NotRemovableError
 from .essentiality import decided_report, least_fictive
 from .terms import (
+    Node,
     Position,
     Term,
-    outermost,
     position_to_text,
     positions,
     preorder,
@@ -48,10 +47,6 @@ class ReduciblePair:
                 f"{position_to_text(self.q)}"
             )
 
-    def __radd__(self, position: Position):
-        """position + (p, q) is the pair (position·p, position·q) below position."""
-        return ReduciblePair(position + self.p, position + self.q)
-
 
 @dataclass
 class ReductionTrace:
@@ -68,10 +63,7 @@ class ReductionTrace:
     def to_json(self):
         def datum_text(kind, datum):
             if kind == "S":
-                return {
-                    "p": position_to_text(datum.p),
-                    "q": position_to_text(datum.q),
-                }
+                return {"p": position_to_text(datum.p), "q": position_to_text(datum.q)}
             return {"position": position_to_text(datum)}
 
         return {
@@ -83,13 +75,13 @@ class ReductionTrace:
         }
 
 
-def _closure(t: Term, theory: Theory, cache: dict, layer, nest) -> frozenset:
-    """The closure of t, cached per subterm: the outermost layer
-    layer(u, theory) of each subterm u, plus q + c for each c in the closure
-    of u|q, where q = nest(m) for each member m of the layer.  A nested
-    member adds nothing, as its own closure lies in the one below q.
-    Subterms are visited as a recursion over each layer from its last member
-    would visit them, and a closure is built after those below it."""
+def _closure(t: Term, theory: Theory, cache: dict, layer) -> frozenset:
+    """The closure of t as preorder index pairs, cached per subterm: the
+    layer(preorder(u), theory) of each subterm u, plus (b + c, b + d) for
+    each (c, d) in the closure of u's subterm at b, for each member (a, b)
+    of the layer; a nested member's own closure lies in that one.  Subterms
+    are visited as a recursion over each layer from its last member would
+    visit them, and a closure is built after those below it."""
     got = cache.get(t)
     stack = [t] if got is None else []
     while stack:
@@ -97,34 +89,34 @@ def _closure(t: Term, theory: Theory, cache: dict, layer, nest) -> frozenset:
         if type(u) is tuple:
             u, members, below = u
             closed = set(members)
-            for q, v in below:
-                closed.update([q + m for m in cache[v]])
+            for b, v in below:
+                closed.update([(b + c, b + d) for c, d in cache[v]])
             cache[u] = got = frozenset(closed)
         elif u not in cache:
-            members = list(layer(u, theory))
-            below = [(q, subterm_at(u, q)) for q in map(nest, members)]
+            subterms = preorder(u)
+            members = list(layer(subterms, theory))
+            below = [(b, subterms[b]) for _, b in members]
             stack.append((u, members, below))
             stack += [v for _, v in below]
     return got  # the last closure built is t's
 
 
-_tail = attrgetter("q")
-
-
 def reducible_pairs(t: Term, theory: Theory) -> frozenset:
     """Rd(t): the outermost heads with their maximal tails, plus q + Rd(t|q)
     for each of their tails q."""
-    return _closure(t, theory, theory._rd_cache, _outermost_pairs, _tail)
+    pairs = _closure(t, theory, theory._rd_cache, _outermost_pairs)
+    pos = positions(t) if pairs else ()
+    return frozenset(ReduciblePair(pos[a], pos[b]) for a, b in pairs)
 
 
-def _outermost_pairs(t: Term, theory: Theory) -> set:
-    """The outermost heads of t with their maximal tails, over preorder
-    indexes.  The tails of a candidate head i are the j in its block equal
-    to it: an exact theory reads them off its key vector, a bounded one asks
-    holds(t|i, t|j) for each j in the block, in order."""
-    subterms = preorder(t)
-    keys = theory.key_vector(t) if theory.exact else None
-    pairs, i = [], 0
+def _outermost_pairs(subterms: list, theory: Theory):
+    """The outermost heads of t, whose preorder is subterms, with their
+    maximal tails, as ascending index pairs.  The tails of a candidate head
+    i are the j in its block equal to it: an exact theory reads them off its
+    key vector, a bounded one asks holds(t|i, t|j) for each j in the block,
+    in order.  A head's pairs are yielded before the next head is sought."""
+    keys = theory.key_vector(subterms[0]) if theory.exact else None
+    i = 0
     while i < len(subterms):
         end = i + 2 * subterms[i].size + 1
         if keys is None:
@@ -140,26 +132,29 @@ def _outermost_pairs(t: Term, theory: Theory) -> set:
         # maximal when the next equal position is not below it
         for j, after in zip(tails, tails[1:] + [end]):
             if after >= j + 2 * subterms[j].size + 1:
-                pairs.append((i, j))
+                yield i, j
         i = end  # the positions below a head are no outermost heads
-    pos = positions(t) if pairs else ()
-    return {ReduciblePair(pos[i], pos[j]) for i, j in pairs}
 
 
-def _sibling(x: Position) -> Position:
-    return x[:-1] + (3 - x[-1],)
-
-
-def _minimal_fictive_desc(u: Term, theory: Theory) -> list:
-    # descending, so that the smallest position's sibling is visited first
-    pos, minimal = positions(u), outermost(preorder(u), decided_report(u, theory).verdicts)
-    return [pos[i] for i in reversed(minimal) if i]
+def _minimal_fictive_desc(subterms: list, theory: Theory) -> list:
+    """Each minimal fictive position of t, whose preorder is subterms, and its
+    sibling, as index pairs: the fictive children of essential positions.
+    Descending, so that the smallest position's sibling is visited first."""
+    verdicts = decided_report(subterms[0], theory).verdicts
+    pairs = []
+    for i, u in enumerate(subterms):
+        if type(u) is Node and not verdicts[i]:
+            left, right = i + 1, i + 2 * u.left.size + 2
+            pairs += [(x, y) for x, y in ((left, right), (right, left)) if verdicts[x]]
+    return sorted(pairs, reverse=True)
 
 
 def removable_positions(t: Term, theory: Theory) -> frozenset:
     """Rm(t): the minimal fictive positions, plus s + Rm(t|s) for each of
     their siblings s."""
-    return _closure(t, theory, theory._rm_cache, _minimal_fictive_desc, _sibling)
+    pairs = _closure(t, theory, theory._rm_cache, _minimal_fictive_desc)
+    pos = positions(t) if pairs else ()
+    return frozenset(pos[x] for x, _ in pairs)
 
 
 def step_S(t: Term, pair: ReduciblePair, theory: Theory | None = None) -> Term:
@@ -183,7 +178,8 @@ def step_E(t: Term, removable: Position, theory: Theory | None = None) -> Term:
         raise NotRemovableError(
             f"{position_to_text(removable)} is not removable in {t}"
         )
-    result = replace_at(t, removable[:-1], subterm_at(t, _sibling(removable)))
+    parent = removable[:-1]
+    result = replace_at(t, parent, subterm_at(t, parent + (3 - removable[-1],)))
     assert result.length < t.length
     return result
 
@@ -200,19 +196,25 @@ def _step(t: Term, redex) -> Term:
 
 
 def _minimal_redex(t: Term, theory: Theory, mode: str):
-    """min(_redexes(t, theory, mode)), or None when there is none.
+    """min(_redexes(t, theory, mode)), or None when there is none, read off
+    one scan of t that stops at its first redex; neither Rd nor Rm is built.
 
-    Mode "E" reads t's essentiality scan only as far as its least fictive
-    position, instead of building Rm or t's report.  A position fictive in
-    a subterm t|s is fictive in t, by congruence, so below a root that is
-    not fictive the least fictive position is outermost and lies below
-    every member of Rm: it is min(Rm(t)).  A fictive root (index 0) makes
-    every position fictive but none removable, so t is a normal form.
+    Mode "S" takes the first pair of _outermost_pairs: every nested member
+    (q + c, q + d) of Rd(t) lies below a tail q, after the first head in
+    preorder, so min(Rd(t)) is the first head with its first maximal tail.
+    Mode "E" takes the essentiality scan's least fictive position.  A
+    position fictive in a subterm t|s is fictive in t, by congruence, so
+    below a root that is not fictive it is outermost and lies below every
+    member of Rm: it is min(Rm(t)).  A fictive root (index 0) makes every
+    position fictive but none removable, so t is a normal form.
     """
-    if mode != "E":
-        return min(_redexes(t, theory, mode), default=None)
-    i = least_fictive(t, theory)
-    return positions(t)[i] if i else None
+    if mode == "S":
+        pair = next(_outermost_pairs(preorder(t), theory), None)
+        return pair and ReduciblePair(*map(positions(t).__getitem__, pair))
+    if mode == "E":
+        i = least_fictive(t, theory)
+        return positions(t)[i] if i else None
+    return _redexes(t, theory, mode)  # no such mode: raises ValueError
 
 
 def normal_form(t: Term, theory: Theory, mode: str):

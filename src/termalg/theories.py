@@ -817,7 +817,10 @@ def _single_rule_key(rule: Identity):
     return None
 
 
-AxiomsTheory = Theory  # another name, kept for callers that build bounded theories by it
+def __getattr__(name):  # Theory's old name AxiomsTheory: importable, but no second entry in vars()
+    if name == "AxiomsTheory":
+        return Theory
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- flat-code rules for the bounded proof search ----------------------------

@@ -43,10 +43,10 @@ from termalg.terms import (
 )
 from termalg.theories import (
     REFUTED,
-    AxiomsTheory,
     CounterModel,
     Identity,
     OracleConfig,
+    Theory,
     term_sort_key,
 )
 
@@ -526,7 +526,7 @@ def test_criterion_09_stability_sweeps():
     for i, j, k, m in itertools.product((1, 2), repeat=4):
         text = f"f(f(x{i},x{j}),x{k})=f(x{m},x{m})"
         axiom = Identity.parse(text)
-        theory = AxiomsTheory(
+        theory = Theory(
             (axiom,),
             config=OracleConfig(max_deduction_steps=5000),
             name="axioms:" + axiom.text(),

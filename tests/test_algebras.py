@@ -16,7 +16,7 @@ from termalg.algebras import (
 )
 from termalg.errors import MissingAssignmentError
 from termalg.terms import Var, enumerate_terms_by_length, parse_term, var_set
-from termalg.theories import AxiomsTheory, Identity, _models_vectorized, theory_from_name
+from termalg.theories import Identity, Theory, _models_vectorized, theory_from_name
 
 LEFT_ZERO = FiniteAlgebra.from_rows([[0, 0], [1, 1]])  # f(a,b) = a
 XOR = FiniteAlgebra.from_rows([[0, 1], [1, 0]])
@@ -135,7 +135,7 @@ AXIOMS = tuple(
 
 def build_theory(spec):
     if spec.startswith("axioms:"):
-        return AxiomsTheory((Identity.parse(spec[len("axioms:") :]),))
+        return Theory((Identity.parse(spec[len("axioms:") :]),))
     return theory_from_name(spec)
 
 

@@ -1,4 +1,4 @@
-"""Bounded proof search over flat codes: AxiomsTheory._neighbors and
+"""Bounded proof search over flat codes: Theory._neighbors and
 _bfs_prove against the term-based references kept here, which build and
 intern every neighbour term."""
 
@@ -23,9 +23,9 @@ from termalg.terms import (
     variables,
 )
 from termalg.theories import (
-    AxiomsTheory,
     Identity,
     OracleConfig,
+    Theory,
     match_pattern,
 )
 
@@ -54,7 +54,7 @@ UNKNOWN_PROBES = (
 
 
 def theory(axioms, **bounds):
-    return AxiomsTheory(tuple(Identity.parse(a) for a in axioms), OracleConfig(**bounds))
+    return Theory(tuple(Identity.parse(a) for a in axioms), OracleConfig(**bounds))
 
 
 def seeded_terms(seed, count):

@@ -257,9 +257,9 @@ class TestSweeps:
         assert not validate_report(report)
 
     def test_bounded_sweep_not_exhaustive(self):
-        from termalg.theories import AxiomsTheory
+        from termalg.theories import Theory
 
-        thy = AxiomsTheory((Identity.parse("f(f(x1,x1),x1)=f(x1,x1)"),))
+        thy = Theory((Identity.parse("f(f(x1,x1),x1)=f(x1,x1)"),))
         report = check_stability(thy, "SigmaR1", SweepBounds(2, 2, 1))
         assert not report.exhaustive
         assert report.violations == []

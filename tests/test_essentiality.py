@@ -22,7 +22,7 @@ from termalg.terms import (
     replace_at,
     var_set,
 )
-from termalg.theories import AxiomsTheory, Identity, OracleConfig
+from termalg.theories import Identity, OracleConfig, Theory
 
 from conftest import shared_theory
 
@@ -51,7 +51,7 @@ def ref_compute_report(t, theory):
     return EssentialityReport(t, verdicts)
 
 
-class CountingTheory(AxiomsTheory):
+class CountingTheory(Theory):
     """A bounded theory that records every equality query it is asked."""
 
     def __init__(self, *args, **kwargs):
@@ -160,7 +160,7 @@ def test_index_view_matches_the_sets(name):
     """verdicts[i] names the one set that holds the i-th position."""
     if name == "bounded":
         axiom = Identity.parse("f(f(x1,x1),x2)=f(x2,x2)")
-        thy = AxiomsTheory((axiom,), OracleConfig(max_model_size=2, max_deduction_steps=20))
+        thy = Theory((axiom,), OracleConfig(max_model_size=2, max_deduction_steps=20))
     else:
         thy = shared_theory(name)
     rng = random.Random(7)
@@ -184,7 +184,7 @@ class TestVariableVerdicts:
         # no model of size 1 separates anything, and one BFS step proves
         # nothing but reflexivity
         axiom = Identity.parse("f(f(x1,x1),x2)=f(x2,x2)")
-        thy = AxiomsTheory((axiom,), OracleConfig(max_model_size=1, max_deduction_steps=1))
+        thy = Theory((axiom,), OracleConfig(max_model_size=1, max_deduction_steps=1))
         assert variable_verdicts(parse_term("f(x1,x2)"), thy) == (set(), set(), {1, 2})
 
 

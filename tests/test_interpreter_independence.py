@@ -27,13 +27,13 @@ from termalg.deduction import ClosureBounds, SweepBounds, bounded_closure, check
 from termalg.essentiality import essential_subterms
 from termalg.errors import UndecidedError
 from termalg.terms import Node, Var, flat_code, parse_term, random_term, term_to_text
-from termalg.theories import AxiomsTheory, Identity, OracleConfig, theory_from_name
+from termalg.theories import Identity, OracleConfig, Theory, theory_from_name
 
 padding = [Node(Var(100 + i), Var(100)) for i in range(int(sys.argv[1]))]
 
 
 def theory(axiom, **bounds):
-    return AxiomsTheory((Identity.parse(axiom),), OracleConfig(**bounds))
+    return Theory((Identity.parse(axiom),), OracleConfig(**bounds))
 
 
 # a bounded sweep with Unknowns

@@ -21,10 +21,12 @@ from termalg.reduction import (
     ReduciblePair,
     ReductionTrace,
     _minimal_redex,
+    _outermost_pairs,
     normal_form,
     reduce_with_strategy,
     reducible_pairs,
     removable_positions,
+    step_S,
 )
 from termalg.terms import (
     Var,
@@ -32,6 +34,7 @@ from termalg.terms import (
     parse_term,
     positions,
     prefix_leq,
+    preorder,
     proper_prefix,
     random_term,
     rename_canonical,
@@ -39,7 +42,7 @@ from termalg.terms import (
     subterm_at,
     variables,
 )
-from termalg.theories import AxiomsTheory, Identity, OracleConfig
+from termalg.theories import Identity, OracleConfig, Theory
 
 from conftest import shared_theory
 from test_essentiality import REGULAR_THEORIES, ref_compute_report
@@ -154,8 +157,8 @@ def ref_one_layer_pairs(t, theory):
 
 def nest_tails(t, theory, pairs, inner_pairs):
     """pairs, plus q + P for each pair's tail q and each P in
-    inner_pairs(t|q), until nothing is added."""
-    queue = list(pairs)
+    inner_pairs(t|q), until nothing is added; the last pair's tail first."""
+    queue = sorted(pairs)
     while queue:
         pair = queue.pop()
         for inner in inner_pairs(subterm_at(t, pair.q), theory):
@@ -372,7 +375,7 @@ def test_bounded_theories_ask_the_same_questions(axiom):
         for name, (call, ref) in calls.items():
             # a fresh theory per side, so that both start from empty memos
             a, b = (
-                AxiomsTheory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
+                Theory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
                 for _ in range(2)
             )
             got = questions(a, lambda: call(t, r, a))
@@ -390,7 +393,7 @@ def test_bounded_rd_is_the_nested_pair_reference_where_it_answers(axiom, steps):
     answered = nonempty = 0
     for t in [random_term(rng, 4, 3) for _ in range(100)]:
         a, b = (
-            AxiomsTheory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=steps))
+            Theory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=steps))
             for _ in range(2)
         )
         try:
@@ -412,7 +415,7 @@ def test_least_fictive_asks_a_prefix_of_the_report_questions(axiom):
     stopped = 0
     for t in terms + [parse_term(text) for text in VISIT_ORDER_TERMS]:
         a, b = (
-            AxiomsTheory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
+            Theory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
             for _ in range(2)
         )
         asked, got = questions(a, lambda: least_fictive(t, a))
@@ -428,3 +431,68 @@ def test_least_fictive_asks_a_prefix_of_the_report_questions(axiom):
             stopped += len(asked) < len(all_asked)
     # idempotency (the first axiom) makes no position fictive
     assert (stopped > 0) == (axiom != BOUNDED_AXIOMS[0])
+
+
+# --- the minimal S strategy reads the outermost layer up to its first pair -------
+
+
+def ref_minimal_s_normal_form(t, theory):
+    """(normal form, steps) stepping by min(reducible_pairs(t)), the whole
+    Rd closure of each term, over positions.  Under an exact theory
+    test_each_minimal_step_takes_the_least_redex checks the same steps."""
+    steps = []
+    while pairs := reducible_pairs(t, theory):
+        pair = min(pairs)
+        t = step_S(t, pair)
+        steps.append(("S", pair, t))
+    return t, steps
+
+
+@pytest.mark.parametrize("steps", (3, 30, 300))
+@pytest.mark.parametrize("axiom", BOUNDED_AXIOMS)
+def test_bounded_minimal_s_steps_match_the_reference_where_it_answers(axiom, steps):
+    # each step asks a prefix of the questions of the reference's Rd layer,
+    # so it can raise UndecidedError only where the reference does
+    rng = random.Random(31 + steps)
+    answered = stepped = 0
+    for t in [random_term(rng, 4, 3) for _ in range(60)]:
+        a, b = (
+            Theory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=steps))
+            for _ in range(2)
+        )
+        try:
+            expected = ref_minimal_s_normal_form(t, b)
+        except UndecidedError:
+            continue
+        nf, trace = normal_form(t, a, "S")
+        assert (nf, trace.steps) == expected, t
+        answered += 1
+        stepped += bool(trace.steps)
+    assert answered > 40 and stepped > 0
+
+
+@pytest.mark.parametrize("axiom", BOUNDED_AXIOMS)
+def test_minimal_s_redex_asks_a_prefix_of_the_layer_questions(axiom):
+    # the scan stops after the first head's tails, whose first pair it takes
+    rng = random.Random(32)
+    terms = [random_term(rng, 4, 3) for _ in range(25)]
+    stopped = 0
+    for t in terms + [parse_term(text) for text in VISIT_ORDER_TERMS]:
+        a, b = (
+            Theory((Identity.parse(axiom),), OracleConfig(max_deduction_steps=300))
+            for _ in range(2)
+        )
+        asked, got = questions(a, lambda: _minimal_redex(t, a, "S"))
+        all_asked, layer = questions(b, lambda: list(_outermost_pairs(preorder(t), b)))
+        assert asked == all_asked[: len(asked)], t
+        if isinstance(layer, str):  # undecided, where the layer raised or after its first head
+            assert got == layer and asked == all_asked or type(got) is ReduciblePair, t
+        elif layer:
+            pos = positions(t)
+            assert got == ReduciblePair(pos[layer[0][0]], pos[layer[0][1]]), t
+        else:
+            assert got is None and asked == all_asked, t
+        stopped += len(asked) < len(all_asked)
+    # only idempotency (the first axiom) gives these terms a head; under the
+    # others the scan asks its whole layer and finds no pair
+    assert (stopped > 0) == (axiom == BOUNDED_AXIOMS[0])

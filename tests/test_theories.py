@@ -27,12 +27,12 @@ from termalg.terms import (
 )
 from termalg.theories import (
     ASSOC,
-    AxiomsTheory,
     CounterModel,
     Derivation,
     DistinctCanonicalKeys,
     Identity,
     OracleConfig,
+    Theory,
     _node_or_var_key,
     _single_rule_key,
     _sorts_before,
@@ -436,17 +436,17 @@ class TestSetUpClosures:
 
 class TestBoundedOracle:
     def test_axioms_theory_proves_consequence(self):
-        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        thy = Theory((Identity.parse("f(x1,x1)=x1"),))
         assert thy.equal(parse_term("f(f(x2,x2),x3)"), parse_term("f(x2,x3)")) is True
 
     def test_axioms_theory_refutes_via_models(self):
-        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        thy = Theory((Identity.parse("f(x1,x1)=x1"),))
         assert thy.equal(parse_term("f(x1,x2)"), parse_term("f(x2,x1)")) is False
 
     @pytest.mark.parametrize("first", ["t = s", "s = t"])
     def test_cached_rewrite_path_starts_at_the_left_term(self, first):
         # the second query in either order is answered from the cache
-        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        thy = Theory((Identity.parse("f(x1,x1)=x1"),))
         t, s = parse_term("f(f(x2,x2),x3)"), parse_term("f(x2,x3)")
         queries = [(t, s), (s, t)] if first == "t = s" else [(s, t), (t, s)]
         for left, right in queries:
@@ -458,7 +458,7 @@ class TestBoundedOracle:
     def test_unknown_on_hard_instance(self):
         # a true identity with no counter-model, but the proof needs more
         # rewrite steps than the tiny budget allows
-        thy = AxiomsTheory(
+        thy = Theory(
             (Identity.parse("f(x1,x2)=f(x2,x1)"),),
             OracleConfig(max_model_size=2, max_deduction_term_size=6, max_deduction_steps=2),
         )
@@ -491,7 +491,7 @@ class TestOneSearchPerPair:
         return calls
 
     def test_bounded_refuted_pair(self, searches):
-        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        thy = Theory((Identity.parse("f(x1,x1)=x1"),))
         t, s = parse_term("f(x1,x2)"), parse_term("f(x2,x1)")
         first = thy.decide(t, s)
         assert searches
@@ -502,7 +502,7 @@ class TestOneSearchPerPair:
         assert second.certificate == first.certificate
 
     def test_bounded_proved_pair(self):
-        thy = AxiomsTheory((Identity.parse("f(x1,x1)=x1"),))
+        thy = Theory((Identity.parse("f(x1,x1)=x1"),))
         t, s = parse_term("f(f(x2,x2),x3)"), parse_term("f(x2,x3)")
         forth, back = thy.decide(t, s).certificate, thy.decide(s, t).certificate
         assert forth.method == back.method == "rewrite-path"

@@ -24,7 +24,7 @@ from termalg.reduction import (
     removable_positions,
 )
 from termalg.terms import parse_term
-from termalg.theories import AxiomsTheory, Identity, OracleConfig, theory_from_name
+from termalg.theories import Identity, OracleConfig, Theory, theory_from_name
 
 AXIOM = "f(f(x1,x1),x2)=f(x2,x2)"
 # no model of size 1 separates anything, and one BFS step expands only the
@@ -49,7 +49,7 @@ UNDECIDED_CALLS = {
 
 
 def undecided_theory():
-    return AxiomsTheory((Identity.parse(AXIOM),), BOUNDS)
+    return Theory((Identity.parse(AXIOM),), BOUNDS)
 
 
 class TestUndecidedQueries:
@@ -89,7 +89,7 @@ class TestUndecidedQueries:
         # is undecided; the least fictive position, (1, 1), comes first, and
         # the normal form and trace match the exact Σ2 theory's
         t = parse_term("f(f(f(x2,x3),f(x2,x2)),x1)")
-        thy = AxiomsTheory(
+        thy = Theory(
             (Identity.parse("f(f(x1,x2),x3)=f(x2,x3)"),),
             OracleConfig(max_model_size=3, max_deduction_steps=2),
         )
@@ -118,7 +118,7 @@ BOUNDED_AXIOM = "f(f(x1,x2),x1)=f(x1,x1)"
 )
 def test_use_attaches_no_state_to_a_theory(name):
     if name.startswith("axioms:"):
-        thy = AxiomsTheory((Identity.parse(BOUNDED_AXIOM),), OracleConfig(max_deduction_steps=1000))
+        thy = Theory((Identity.parse(BOUNDED_AXIOM),), OracleConfig(max_deduction_steps=1000))
     else:
         thy = theory_from_name(name)
     declared = set(vars(thy))
@@ -153,6 +153,12 @@ def test_reduction_memos_live_as_long_as_the_theory(monkeypatch, mode, layer, me
     )
     reduce_with_strategy(t, thy, mode, 1)
     assert len(computed) == len(getattr(thy, memo)) > 1
+    # a memo member is a pair of preorder indexes into its own subterm
+    assert all(
+        0 <= a <= 2 * u.size and 0 < b <= 2 * u.size
+        for u, pairs in getattr(thy, memo).items()
+        for a, b in pairs
+    )
     before = len(computed)
     assert redexes(t, thy)
     assert len(computed) == before
