@@ -582,25 +582,19 @@ def _sweep_bounded(theory, mode, bounds, report, u):
 
 
 def validate_report(report: StabilityReport) -> bool:
-    """Re-check every recorded violation from scratch.
-
-    The premise must be proved, r essential in both sides, and the composed
-    identity refuted; a counter-model certificate must satisfy every axiom
-    of the theory and distinguish the composed terms.
+    """Re-check every recorded violation from scratch: it must be the identity
+    the report's rule derives from its premise (``apply_rule`` checks that the
+    premise is proved and r essential in both sides), and refuted; a
+    counter-model certificate must satisfy every axiom and separate the sides.
     """
     theory = report.theory
-    compose = _compose_for(report.mode)
     for v in report.violations:
-        if theory.equal(v.t, v.s) is not True:
+        data = {"pattern": v.r, "replacement": v.u}
+        try:
+            derived = apply_rule(report.mode, (Identity(v.t, v.s),), data, theory)
+        except SideConditionError:
             return False
-        if not (
-            is_essential_subterm(v.r, v.t, theory)
-            and is_essential_subterm(v.r, v.s, theory)
-        ):
-            return False
-        if compose(v.t, v.r, v.u, theory) != v.left:
-            return False
-        if compose(v.s, v.r, v.u, theory) != v.right:
+        if derived != Identity(v.left, v.right):
             return False
         if theory.equal(v.left, v.right) is not False:
             return False

@@ -16,11 +16,13 @@ congruence class, so the key of t, already cached, answers the question after
 one planted term is keyed.  A bounded theory keeps asking the pair: refutation
 treats both shapes alike, but the bounded proof search does not.
 
-``_scan`` is the one walk that asks these questions, top-down in preorder.
-A report reads all of it; ``least_fictive``, which the minimal E-reduction
-strategy reads, stops at the first fictive position.  Reports are stored per
-variable-renaming class; an exact theory computes one on the term it is
-asked about, a bounded theory on the class's canonical member.
+``_scan`` is the one walk that asks these questions, top-down in preorder,
+keeping the current position's ancestors and child digits on a stack
+(Knuth, TAOCP Vol. 1, 2.3.1); it builds no position list.  A report reads
+all of it; ``least_fictive``, which the minimal E-reduction strategy reads,
+stops at the first fictive position.  Reports are stored per variable-renaming
+class; an exact theory computes one on the term it is asked about, a bounded
+theory on the class's canonical member.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .terms import (
     Term,
     Var,
     max_var_index,
+    plant,
     positions,
     preorder,
     rename_canonical,
-    replace_at,
     substitute,
-    subtree_ends,
     var_set,
 )
 from .theories import Theory
@@ -93,20 +94,18 @@ def essentiality_report(t: Term, theory: Theory) -> EssentialityReport:
 
 
 def least_fictive(t: Term, theory: Theory):
-    """The preorder index of t's least fictive position, or None when t has
-    none; raises UndecidedError at an undecided position met before it.
+    """t's least fictive position, or None when t has none; raises
+    UndecidedError at an undecided position met before it.
 
-    The scan goes top-down and stops at the first fictive index, so every
-    index before it was asked and found essential: that position is the
-    least fictive one, and it is outermost.
+    The scan goes top-down and stops at the first fictive position, so every
+    position before it was asked and found essential: it is the least
+    fictive one, and it is outermost.
     """
-    scanned = _scanned_term(t, theory)
-    pos = positions(scanned)
-    for i, verdict, _ in _scan(scanned, pos, theory):
+    for digits, verdict, _ in _scan(_scanned_term(t, theory), theory):
         if verdict is None:
-            raise _undecided(t, [pos[i]])
+            raise _undecided(t, [tuple(digits)])
         if verdict:
-            return i
+            return tuple(digits)
     return None
 
 
@@ -120,33 +119,40 @@ def _scanned_term(t: Term, theory: Theory) -> Term:
     return t if theory.exact else rename_canonical(t)
 
 
-def _scan(t: Term, pos, theory: Theory):
-    """(index, verdict, block end) for t's positions pos, top-down in
-    preorder.
+def _scan(t: Term, theory: Theory):
+    """(digits, verdict, block length) for the positions of t asked about,
+    top-down in preorder; digits is the scan's own list, so copy it to keep it.
 
     Extensions of fictive positions are fictive (monotone structure), so a
-    fictive position classifies its whole block of the preorder, up to
-    block end, without queries; the scan goes on after the block.
+    fictive position classifies its whole block of the preorder, 2*Siz + 1
+    long, without queries; the scan goes on after the block.
     """
     n = max_var_index(t)
     xa, xb = Var(n + 1), Var(n + 2)
     exact = theory.exact
-
-    ends = subtree_ends(t)
-    i = 0
-    while i < len(pos):
-        p = pos[i]
+    u, path, digits = t, [], []  # u's ancestors, and the child taken below each
+    while True:
         # an exact theory answers t[p <- xa] = t as it would the pair (above)
-        verdict = theory.equal(replace_at(t, p, xa), t if exact else replace_at(t, p, xb))
-        end = ends[i] if verdict is True else i + 1
-        yield i, verdict, end
-        i = end
+        verdict = theory.equal(plant(path, digits, xa), t if exact else plant(path, digits, xb))
+        yield digits, verdict, 2 * u.size + 1 if verdict is True else 1
+        if verdict is not True and type(u) is not Var:
+            path.append(u)
+            digits.append(1)
+            u = u.left
+            continue
+        # u's block is done: go on at the right child of the nearest left turn
+        while digits and digits[-1] == 2:
+            del path[-1], digits[-1]
+        if not digits:
+            return
+        digits[-1] = 2
+        u = path[-1].right
 
 
 def _compute_report(t: Term, theory: Theory) -> EssentialityReport:
     verdicts = []
-    for i, verdict, end in _scan(t, positions(t), theory):
-        verdicts += [verdict] * (end - i)
+    for _, verdict, length in _scan(t, theory):
+        verdicts += [verdict] * length
     return EssentialityReport(t, tuple(verdicts))
 
 

@@ -205,15 +205,14 @@ def _minimal_redex(t: Term, theory: Theory, mode: str):
     Mode "E" takes the essentiality scan's least fictive position.  A
     position fictive in a subterm t|s is fictive in t, by congruence, so
     below a root that is not fictive it is outermost and lies below every
-    member of Rm: it is min(Rm(t)).  A fictive root (index 0) makes every
+    member of Rm: it is min(Rm(t)).  A fictive root, (), makes every
     position fictive but none removable, so t is a normal form.
     """
     if mode == "S":
         pair = next(_outermost_pairs(preorder(t), theory), None)
         return pair and ReduciblePair(*map(positions(t).__getitem__, pair))
     if mode == "E":
-        i = least_fictive(t, theory)
-        return positions(t)[i] if i else None
+        return least_fictive(t, theory) or None
     return _redexes(t, theory, mode)  # no such mode: raises ValueError
 
 

@@ -140,7 +140,7 @@ class Node(Term):
         return _intern(_NODES, _evict_node, key, node)
 
     def __init__(self, left: Term, right: Term):
-        """Nothing to do: ``__new__`` returns the interned, fully built node."""
+        """A no-op (``__new__`` builds the node) that bench/tracing.py wraps."""
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,12 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
             raise InvalidPositionError(f"bad digit {d} in position")
         path.append(u)
         u = u.left if d == 1 else u.right
-    for u, d in zip(reversed(path), reversed(p)):
+    return plant(path, p, s)
+
+
+def plant(path, digits, s: Term) -> Term:
+    """s at position digits, whose ancestors are path; only they are rebuilt."""
+    for u, d in zip(reversed(path), reversed(digits)):
         s = Node(s, u.right) if d == 1 else Node(u.left, s)
     return s
 
@@ -218,12 +223,6 @@ def preorder(t: Term) -> list:
             u = u.left
         out.append(u)
     return out
-
-
-def subtree_ends(t: Term) -> list:
-    """For the i-th position of t in positions(t) order, the index just past
-    its subtree: i + 2*Siz + 1."""
-    return [i + 2 * u.size + 1 for i, u in enumerate(preorder(t))]
 
 
 def outermost(subterms, flags) -> list:

@@ -530,7 +530,7 @@ class Theory:
 
     def key_vector(self, t: Term) -> tuple:
         """The canonical keys of ``preorder(t)``, in positions(t) order (exact
-        theories only), where a subtree is one block (``subtree_ends``)."""
+        theories only), where the subtree at i is the block i .. i + 2*Siz."""
         got = self._key_vectors.get(t)
         if got is None:
             got = self._key_vectors[t] = tuple(map(self._cached_key, preorder(t)))

@@ -42,7 +42,7 @@ from termalg.terms import (
     subterm_at,
     variables,
 )
-from termalg.theories import Identity, OracleConfig, Theory
+from termalg.theories import Identity, OracleConfig, Theory, theory_from_name
 
 from conftest import shared_theory
 from test_essentiality import REGULAR_THEORIES, ref_compute_report
@@ -301,7 +301,8 @@ def test_exact_theories_scan_t_as_its_renaming(name):
         verdicts = _compute_report(t, thy).verdicts
         assert rename_canonical(t) is not t
         assert verdicts == _compute_report(rename_canonical(t), thy).verdicts, t
-        assert least_fictive(t, thy) == (verdicts.index(True) if True in verdicts else None), t
+        least = positions(t)[verdicts.index(True)] if True in verdicts else None
+        assert least_fictive(t, thy) == least, t
         # each E step asks no more questions than the scan up to the least
         # fictive position of its term, where the report would ask them all
         _, trace = normal_form(t, thy, "E")
@@ -426,11 +427,41 @@ def test_least_fictive_asks_a_prefix_of_the_report_questions(axiom):
             assert got is None and asked == all_asked, t
         else:
             assert len(asked) == stop + 1, t
-            assert got == (stop if report.verdicts[stop] else f"essentiality undecided at "
-                           f"positions {[positions(t)[stop]]} of {t}"), t
+            assert got == (positions(t)[stop] if report.verdicts[stop] else f"essentiality "
+                           f"undecided at positions {[positions(t)[stop]]} of {t}"), t
             stopped += len(asked) < len(all_asked)
     # idempotency (the first axiom) makes no position fictive
     assert (stopped > 0) == (axiom != BOUNDED_AXIOMS[0])
+
+
+def test_essentiality_scan_builds_no_position_list(monkeypatch):
+    # the scan plants from its ancestor path, so a report, the least fictive
+    # position and the E normal form read no whole-term position list
+    depth = 100
+    chain = parse_term("f(" * depth + "x1" + ",x2)" * depth)
+    cases = [("sg-abs-1-2", chain)] + [(BOUNDED_AXIOMS[1], t) for t in seeded_terms(26, 12)]
+
+    def outcomes():
+        got = []
+        for name, t in cases:
+            # a fresh theory each time, so no report is read from a memo
+            if name in BOUNDED_AXIOMS:
+                thy = Theory((Identity.parse(name),), OracleConfig(max_deduction_steps=300))
+            else:
+                thy = theory_from_name(name)
+            for call in (_compute_report, least_fictive, lambda t, thy: normal_form(t, thy, "E")):
+                got.append(questions(thy, lambda: call(t, thy))[1])
+        return got
+
+    expected = outcomes()
+
+    def no_positions(t):
+        raise AssertionError("positions(t) built")
+
+    monkeypatch.setattr("termalg.essentiality.positions", no_positions)
+    monkeypatch.setattr("termalg.reduction.positions", no_positions)
+    assert outcomes() == expected
+    assert any(type(e) is str for e in expected) and None not in expected[:3]
 
 
 # --- the minimal S strategy reads the outermost layer up to its first pair -------

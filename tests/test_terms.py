@@ -36,7 +36,6 @@ from termalg.terms import (
     substitute,
     subterm_at,
     subterm_set,
-    subtree_ends,
     term_to_text,
     to_arrays,
     valuations,
@@ -225,7 +224,8 @@ class TestPositions:
     @given(terms_strategy())
     def test_subtrees_are_blocks(self, t):
         pos = positions(t)
-        for i, end in enumerate(subtree_ends(t)):
+        for i, u in enumerate(preorder(t)):
+            end = i + 2 * u.size + 1
             assert pos[i:end] == tuple(q for q in pos if prefix_leq(pos[i], q))
 
     @given(terms_strategy(), st.data())
@@ -354,7 +354,7 @@ def test_one_preorder_layout():
         assert all(u is subterm_at(t, p) for p, u in zip(pos, subterms))
         code = flat_code(t)
         assert from_flat_code(code) is t
-        assert code_ends(code) == subtree_ends(t)
+        assert code_ends(code) == [i + 2 * u.size + 1 for i, u in enumerate(subterms)]
         assert from_arrays(to_arrays(t)) is t
 
 
