@@ -23,10 +23,12 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 from dataclasses import dataclass
 from weakref import KeyedRef
 
 from .errors import (
+    BoundsError,
     InvalidPositionError,
     MalformedArraysError,
     ParseError,
@@ -373,27 +375,35 @@ def rename_canonical(t: Term) -> Term:
 # ---------------------------------------------------------------------------
 # flat codes and the array encoding
 #
-# A term's flat code is its preorder as a tuple: 0 for each f and i for each
-# x_i.  Codes are equal iff the terms are, and the subterm at each position
-# is one contiguous slice, so a term can be rewritten by splicing slices
-# without building or interning terms (Christian, "Flatterms, discrimination
-# nets, and fast term rewriting", J. Automated Reasoning 10, 1993).
+# A term's flat code is its preorder as a str: "\0" for each f and chr(i) for
+# each x_i.  Codes are equal iff the terms are, and the subterm at each
+# position is one contiguous slice, so a term can be rewritten by splicing
+# slices without building or interning terms (Christian, "Flatterms,
+# discrimination nets, and fast term rewriting", J. Automated Reasoning 10,
+# 1993).  Slicing and joining are C copies, and a str caches its hash.
 
 
-def flat_code(t: Term) -> tuple:
-    return tuple(0 if type(u) is Node else u.index for u in preorder(t))
+def flat_code(t: Term) -> str:
+    """The flat code of t; raises BoundsError for a variable index above
+    sys.maxunicode, which no code point can hold."""
+    try:
+        return "".join(["\0" if type(u) is Node else chr(u.index) for u in preorder(t)])
+    except (ValueError, OverflowError):
+        raise BoundsError(
+            f"flat codes hold variable indexes up to {sys.maxunicode}, got {max(variables(t))}"
+        ) from None
 
 
-def from_flat_code(code) -> Term:
-    return _build([Var(c) if c else None for c in code])
+def from_flat_code(code: str) -> Term:
+    return _build([Var(i) if i else None for i in map(ord, code)])
 
 
-def code_ends(code) -> list:
+def code_ends(code: str) -> list:
     """end[k]: the index just past the subterm that starts at k.  A node's
     right child starts where its left child, at k + 1, ends."""
     end = [0] * len(code)
     for k in range(len(code) - 1, -1, -1):
-        end[k] = k + 1 if code[k] else end[end[k + 1]]
+        end[k] = k + 1 if code[k] != "\0" else end[end[k + 1]]
     return end
 
 
@@ -432,11 +442,11 @@ def from_arrays(a: TermArrays) -> Term:
         raise MalformedArraysError(
             f"{is_node.count(False)} leaves but {len(a.var_indexes)} variable indexes"
         )
-    for i in a.var_indexes:  # a flat code reads 0 as an f
+    for i in a.var_indexes:
         if not isinstance(i, int) or i < 1:
             raise MalformedArraysError(f"variable indexes are integers from 1 on, got {i!r}")
     indexes = iter(a.var_indexes)
-    return from_flat_code([0 if node else next(indexes) for node in is_node])
+    return _build([None if node else Var(next(indexes)) for node in is_node])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -601,61 +602,70 @@ class Theory:
         code, as codes, in order: positions left-first, then axioms, each
         left-to-right before right-to-left, then pool combinations.
 
-        A right-side variable the left side lacks takes each value of
-        _replacement_pool, which is read off the code.  Results larger than
-        max_deduction_term_size are dropped.
+        Each rule is compiled once (_flat_rule).  Where its source matches
+        at k, the head code[:k] and the tail past the subterm are cut once,
+        and the destination's segments are filled from them and the matched
+        slices.  A right-side variable the left side lacks takes each value
+        of _replacement_pool, read off the code once: with one such
+        variable, an instance is value.join(segments).  Results larger than
+        max_deduction_term_size, whose codes are longer than 2 * cap + 1,
+        are dropped before they are built.
         """
         out = []
         end = code_ends(code)
-        n = len(code)
-        # the largest replacement that keeps the result within the cap is
-        # room = cap - Siz(term) + Siz(subterm); Siz of a code is (len - 1) / 2
-        room0 = self.config.max_deduction_term_size - (n - 1 >> 1)
+        longest = 2 * self.config.max_deduction_term_size + 1
         pool = None
-        for k in range(n):
-            e = end[k]
-            room = room0 + (e - k - 1 >> 1)
-            for src, template, dst_vars, dst_size, missing in self._rules:
-                # match src against the subterm at k, binding slices
-                binding = {}
+        for k in range(len(code)):
+            leaf = code[k] != "\0"
+            head = None
+            for composite, pattern, segments, order, count in self._rules:
+                if composite and leaf:
+                    continue
+                # match the source against the subterm at k, slicing out
+                # each variable at its first occurrence
+                slices = []
                 i = k
-                for p in src:
-                    if p:
-                        j = end[i]
-                        piece = code[i:j]
-                        if binding.setdefault(p, piece) != piece:
+                for p in pattern:
+                    if not p:
+                        if code[i] != "\0":
                             break
-                        i = j
-                    elif code[i]:
-                        break
-                    else:
                         i += 1
+                        continue
+                    j = end[i]
+                    if p > 0:
+                        slices.append(code[i:j])
+                    elif code[i:j] != slices[~p]:
+                        break
+                    i = j
                 else:
-                    if missing:
-                        if pool is None:
-                            pool = _replacement_pool(code, end)
-                        combos = itertools.product(pool, repeat=len(missing))
-                    else:
-                        combos = ((),)
-                    for combo in combos:
-                        b = dict(binding)
-                        b.update(zip(missing, combo))
-                        size = dst_size
-                        for v in dst_vars:
-                            size += len(b[v]) - 1 >> 1
-                        if size <= room:
-                            inst = code[:k]
-                            for piece in template:
-                                inst += b[piece] if type(piece) is int else piece
-                            out.append(inst + code[e:])
+                    if head is None:
+                        head, tail = code[:k], code[end[k] :]
+                    if not count:
+                        inst = segments[0].format(head, tail, *slices)
+                        if len(inst) <= longest:
+                            out.append(inst)
+                        continue
+                    segs = [s.format(head, tail, *slices) for s in segments]
+                    fixed = sum(map(len, segs))
+                    if pool is None:
+                        pool = _replacement_pool(code, end)
+                    if count == 1:
+                        m = len(order)
+                        out += [q.join(segs) for q in pool if fixed + m * len(q) <= longest]
+                        continue
+                    for combo in itertools.product(pool, repeat=count):
+                        values = [combo[o] for o in order]
+                        if fixed + sum(map(len, values)) <= longest:
+                            out.append("".join(itertools.chain(*zip(segs, values), segs[-1:])))
         return out
 
     def _bfs_prove(self, t, s):
         """Bidirectional bounded search over single axiom replacements: a
         rewrite path from t to s, or None.
 
-        The search runs on flat codes and rebuilds terms only for the path
-        it returns.  Each side maps a code to the code it was discovered
+        The search runs on flat codes, strs that cache their hashes for the
+        seen and meeting tests, and rebuilds terms only for the path it
+        returns.  Each side maps a code to the code it was discovered
         from (None at its root), and the path is read back along both maps
         only when the sides meet.  A budget of max_deduction_steps = k
         expands at most k terms.
@@ -827,26 +837,59 @@ def __getattr__(name):  # Theory's old name AxiomsTheory: importable, but no sec
 
 
 def _flat_rule(src: Term, dst: Term):
-    """src -> dst compiled for _neighbors: src's code; dst's code as a
-    template, with (0,) for each f and a variable index to fill; dst's
-    variables with multiplicity; Siz(dst); and dst's variables that src
-    lacks, sorted."""
-    template = tuple(c or (0,) for c in flat_code(dst))
-    dst_vars = variables(dst)
-    missing = tuple(sorted(set(dst_vars) - set(variables(src))))
-    return flat_code(src), template, dst_vars, dst.size, missing
+    """src -> dst compiled for _neighbors: (composite, pattern, segments,
+    order, count).
+
+    composite says whether src is an f, which never matches at a leaf.
+    pattern is src's preorder: 0 for an f, and for a variable 1 at its first
+    occurrence, which fills the next slot, or ~slot at a repeat.  The count
+    variables of dst that src lacks, sorted, split dst's preorder into
+    segments, one more than their occurrences; order names the variable at
+    each split.  A segment is a format string over the head {0}, the tail
+    {1} and the slots {2}, {3}, ...: the first starts with the head, the
+    last ends with the tail, and its text is otherwise "\0"s, one per f.
+    """
+    slots = {}
+    pattern = []
+    for u in preorder(src):
+        if type(u) is Node:
+            pattern.append(0)
+        elif u.index in slots:
+            pattern.append(~slots[u.index])
+        else:
+            slots[u.index] = len(slots)
+            pattern.append(1)
+    missing = sorted(set(variables(dst)) - slots.keys())
+    segments, order, part = [], [], ["{0}"]
+    for u in preorder(dst):
+        if type(u) is Node:
+            part.append("\0")
+        elif u.index in slots:
+            part.append(f"{{{slots[u.index] + 2}}}")
+        else:
+            segments.append("".join(part))
+            order.append(missing.index(u.index))
+            part = []
+    segments.append("".join(part) + "{1}")
+    return type(src) is Node, tuple(pattern), tuple(segments), tuple(order), len(missing)
 
 
 def _replacement_pool(code, end) -> list:
     """The values, as codes, that _neighbors gives a right-side variable
-    the left side lacks: up to three of the code's variable indexes and one
-    fresh index, then its three shortest distinct composite slices, ties
-    going to the first start in the code."""
-    indexes = sorted(set(code) - {0})
-    pool = [(i,) for i in indexes[:3]] + [(indexes[-1] + 1,)]
+    the left side lacks: up to three of the code's variables and one fresh
+    one, then its three shortest distinct composite slices, ties going to
+    the first start in the code.  A fresh index above sys.maxunicode, which
+    no code point can hold, raises BoundsError."""
+    indexes = sorted(set(code) - {"\0"})
+    fresh = ord(indexes[-1]) + 1
+    if fresh > sys.maxunicode:
+        raise BoundsError(
+            f"flat codes hold variable indexes up to {sys.maxunicode}, got the fresh index {fresh}"
+        )
+    pool = indexes[:3] + [chr(fresh)]
     composite = []
     # sorted is stable, so slices of one length stay in order of their start
-    for k in sorted((k for k, c in enumerate(code) if not c), key=lambda k: end[k] - k):
+    for k in sorted((k for k, c in enumerate(code) if c == "\0"), key=lambda k: end[k] - k):
         piece = code[k : end[k]]
         if piece not in composite:
             composite.append(piece)

@@ -4,10 +4,12 @@ intern every neighbour term."""
 
 import itertools
 import random
+import sys
 from collections import deque
 
 import pytest
 
+from termalg.errors import BoundsError
 from termalg.terms import (
     Node,
     Var,
@@ -37,12 +39,16 @@ CRITERION_09_AXIOMS = tuple(
 ASSOC_LOOKALIKE = "f(f(x4,x5),x6)=f(x4,f(x5,x3))"
 TWO_AXIOMS = ("f(x1,x1)=x1", "f(f(x1,x2),x3)=f(x1,x3)")
 COMMUTATIVITY = "f(x1,x2)=f(x2,x1)"
+# two right-side variables the left side lacks: their values are the pool's
+# product, in itertools.product order
+POOL_PRODUCT = "f(x1,x1)=f(f(x2,x3),x1)"
 
 THEORY_AXIOMS = {
     **{text: (text,) for text in CRITERION_09_AXIOMS},
     "assoc-lookalike": (ASSOC_LOOKALIKE,),
     "two-axioms": TWO_AXIOMS,
     "commutativity": (COMMUTATIVITY,),
+    "pool-product": (POOL_PRODUCT,),
 }
 
 # the benchmark's bounded-oracle budget, under which both probes are Unknown
@@ -185,7 +191,9 @@ def derived_identity(rng, thy, t):
     return s
 
 
-@pytest.mark.parametrize("name", ["f(f(x1,x2),x1)=f(x1,x1)", "two-axioms", "assoc-lookalike"])
+@pytest.mark.parametrize(
+    "name", ["f(f(x1,x2),x1)=f(x1,x1)", "two-axioms", "assoc-lookalike", "pool-product"]
+)
 def test_derived_identities_match_reference(name):
     thy = theory(THEORY_AXIOMS.get(name, (name,)), max_deduction_steps=300)
     rng = random.Random(name)
@@ -201,6 +209,38 @@ def test_derived_identities_match_reference(name):
             for u, v in zip(path, path[1:]):
                 assert v in ref_neighbors(thy, u) or u in ref_neighbors(thy, v)
     assert proved > 0
+
+
+# a flat code holds x_i as chr(i): 255 and 256 straddle the one- and
+# two-byte str widths, 65,536 needs four bytes, and 1,000,001 is the fresh
+# pool value of a term with x1000000
+WIDE_INDEXES = {1: 255, 2: 256, 3: 65_536, 4: 1_000_000}
+
+
+@pytest.mark.parametrize(
+    "name", ["f(f(x1,x2),x1)=f(x2,x2)", "two-axioms", "assoc-lookalike", "pool-product"]
+)
+def test_wide_indexes_match_reference(name):
+    thy = theory(THEORY_AXIOMS.get(name, (name,)), max_deduction_steps=300)
+    rng = random.Random(name)
+    wide = {i: Var(j) for i, j in WIDE_INDEXES.items()}
+    for t in seeded_terms(name, 20):
+        t = substitute(t, wide)
+        assert neighbors(thy, t) == ref_neighbors(thy, t), str(t)
+        s = derived_identity(rng, thy, t)
+        assert thy._bfs_prove(t, s) == ref_bfs_prove(thy, t, s), f"{t} = {s}"
+
+
+def test_indexes_past_the_last_code_point_raise():
+    top = sys.maxunicode
+    t = parse_term(f"f(x{top},x{top})")
+    assert theory(("f(x1,x1)=x1",))._bfs_prove(t, Var(top)) == (t, Var(top))
+    # x_top is coded, but the pool's fresh variable would need top + 1
+    thy = theory(("f(f(x1,x1),x2)=f(x2,x2)",))
+    with pytest.raises(BoundsError):
+        thy._bfs_prove(t, parse_term(f"f(f(x1,x1),x{top})"))
+    with pytest.raises(BoundsError):
+        thy._bfs_prove(Var(top + 1), Var(1))
 
 
 def test_deep_start_term_answers():

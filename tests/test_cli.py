@@ -525,6 +525,16 @@ class TestBounds:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_variable_index_past_the_last_code_point(self, capsys, tmp_path):
+        # the bounded proof search codes x_i as chr(i), and no code point is
+        # 1114112; idempotency holds, so model search refutes nothing first
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"kind": "axioms", "axioms": [{"lhs": "f(x1,x1)", "rhs": "x1"}]}))
+        argv = ("equiv", "--theory-file", str(path), "f(x1114112,x1114112)", "x1114112")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_max_model_size_zero_with_a_theory_file(self, capsys, tmp_path):
         path = tmp_path / "theory.json"
         path.write_text(json.dumps({"kind": "commutative"}))

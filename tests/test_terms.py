@@ -3,13 +3,14 @@
 import ast
 import gc
 import pathlib
+import sys
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from termalg import terms
-from termalg.errors import InvalidPositionError, MalformedArraysError, ParseError
+from termalg.errors import BoundsError, InvalidPositionError, MalformedArraysError, ParseError
 from termalg.terms import (
     Node,
     Var,
@@ -356,6 +357,16 @@ def test_one_preorder_layout():
         assert from_flat_code(code) is t
         assert code_ends(code) == [i + 2 * u.size + 1 for i, u in enumerate(subterms)]
         assert from_arrays(to_arrays(t)) is t
+
+
+def test_flat_codes_hold_indexes_up_to_the_last_code_point():
+    t = Node(Var(1), Var(sys.maxunicode))
+    assert from_flat_code(flat_code(t)) is t
+    past = Node(Var(1), Var(sys.maxunicode + 1))
+    with pytest.raises(BoundsError):
+        flat_code(past)
+    # the array encoding does not go through flat codes
+    assert from_arrays(to_arrays(past)) is past
 
 
 class TestTextSyntax:
