@@ -28,7 +28,6 @@ from .terms import (
     Term,
     Var,
     code_ends,
-    enumerate_terms_by_length,
     flat_code,
     fold_term,
     from_flat_code,
@@ -366,13 +365,51 @@ def _occurrence_pattern(seq):
 # --- theories ----------------------------------------------------------------
 
 
+def _numbered_terms(max_len: int, num_leaves: int):
+    """The terms with Len <= max_len over x1..x_num_leaves as numbers.
+
+    Ids follow enumerate_terms_by_length: by Len, then by the left child's
+    Len, then by left id, then by right id.  So the nodes of Len n whose
+    left child has Len k form one block, and their children are a repeat
+    and a tile of two contiguous id ranges.  Returns (length, left, right,
+    pair): arrays of each id's Len and children (0 for a leaf), and
+    pair(a, b), the id of f(a, b) for ids of total Len <= max_len, which is
+    first[Len a + Len b, Len a] + rank(a) * count[Len b] + rank(b), where
+    rank is an id's place among the terms of its Len.
+    """
+    import numpy as np
+
+    count, start = [0, num_leaves], [0, 0]
+    for n in range(2, max_len + 1):
+        count.append(sum(count[k] * count[n - k] for k in range(1, n)))
+        start.append(start[n - 1] + count[n - 1])
+    first = np.zeros((max_len + 1, max_len + 1), dtype=np.int64)
+    leaf_children = np.zeros(num_leaves, dtype=np.int64)
+    lefts, rights = [leaf_children], [leaf_children]
+    for n in range(2, max_len + 1):
+        at = start[n]
+        for k in range(1, n):
+            first[n, k] = at
+            lefts.append(np.repeat(np.arange(start[k], start[k] + count[k]), count[n - k]))
+            rights.append(np.tile(np.arange(start[n - k], start[n - k] + count[n - k]), count[k]))
+            at += count[k] * count[n - k]
+    length = np.repeat(np.arange(max_len + 1), count)
+    start, count = np.array(start), np.array(count)
+
+    def pair(a, b):
+        la, lb = length[a], length[b]
+        return first[la + lb, la] + (a - start[la]) * count[lb] + b - start[lb]
+
+    return length, np.concatenate(lefts), np.concatenate(rights), pair
+
+
 def _ground_collapse_proved(rule: Identity) -> bool:
     """Bounded proof that a rule merges all composite terms into one class.
 
-    Runs congruence closure over every term of size <= 4 built from four
-    leaf symbols and asks whether f(a,b) and f(c,d) with four distinct
-    leaves end up identified.  Sound: every union is a rule instance or a
-    congruence step; the leaves act as free variables.
+    Runs congruence closure over the 15,764 terms of Len <= 5 over four
+    leaves and asks whether f(a,b) and f(c,d) with four distinct leaves end
+    up identified.  Sound: every union is a rule instance or a congruence
+    step; the leaves act as free variables.
 
     The seeds are the rule's instances at the root: each universe term sub
     that matches one side is united with the other side under the binding
@@ -384,55 +421,77 @@ def _ground_collapse_proved(rule: Identity) -> bool:
     intermediate C'[sub] and C'[inst] lie in it, and congruence re-derives
     C[sub] ~ C[inst] from sub ~ inst one context level at a time.
     Conversely each root seed is such a seed with the empty context.
+
+    The terms are numbers (_numbered_terms) and every step is vectorised
+    over them: a side is matched against all ids at once, one leaf choice
+    for the unbound variables at a time is merged over all matches, and
+    classes are merged by min-label hooking plus pointer jumping.  The
+    congruence pass sorts the nodes by the labels of their children and
+    merges each run of equal ones, until a pass merges nothing.
     """
-    leaves = [Var(i) for i in range(1, 5)]
-    max_len = 5
-    universe = list(enumerate_terms_by_length(max_len, 4))
-    index = {t: k for k, t in enumerate(universe)}
-    parent = list(range(len(universe)))
+    import numpy as np
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    max_len, num_leaves = 5, 4
+    length, left, right, pair = _numbered_terms(max_len, num_leaves)
+    ids = np.arange(len(length))
+    label = ids.copy()
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+    def merge(a, b):
+        """Unite the classes of a[k] and b[k] for every k; True if any grew.
 
-    directions = [
-        (src, dst, variables(dst)) for src, dst in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs))
-    ]
-    for k, sub in enumerate(universe):
-        for src, dst, dst_vars in directions:
-            binding = match_pattern(src, sub)
-            if binding is None:
-                continue
-            # Len of the instance; an unbound variable takes a leaf
-            if sum(binding[i].length if i in binding else 1 for i in dst_vars) > max_len:
-                continue
-            missing = sorted(set(dst_vars) - binding.keys())
-            for combo in itertools.product(leaves, repeat=len(missing)):
-                binding.update(zip(missing, combo))
-                union(k, index[substitute(dst, binding)])
+        Between calls every label is a root (label[label] == label) and
+        label[x] <= x, so hooked roots only point down and jumping ends."""
+        merged = False
+        while True:
+            differ = label[a] != label[b]
+            if not differ.any():
+                return merged
+            merged = True
+            a, b = a[differ], b[differ]
+            la, lb = label[a], label[b]
+            low = np.minimum(la, lb)
+            np.minimum.at(label, la, low)
+            np.minimum.at(label, lb, low)
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label[:] = jumped
+
+    for src, dst in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
+        ok = np.ones(len(ids), dtype=bool)
+        binding = {}
+        stack = [(src, ids)]
+        while stack:
+            p, at = stack.pop()
+            if type(p) is Var:
+                bound = binding.setdefault(p.index, at)
+                ok &= bound == at
+            else:
+                ok &= at >= num_leaves
+                stack += [(p.right, right[at]), (p.left, left[at])]
+        # Len of the instance; an unbound variable takes a leaf
+        dst_vars = variables(dst)
+        ok &= sum(length[binding[i]] if i in binding else 1 for i in dst_vars) <= max_len
+        sub = ids[ok]
+        if not len(sub):  # no instance fits, so no leaf choice seeds anything
+            continue
+        binding = {i: b[ok] for i, b in binding.items()}
+        missing = sorted(set(dst_vars) - binding.keys())
+        for combo in itertools.product(range(num_leaves), repeat=len(missing)):
+            binding.update((i, np.full(len(sub), leaf)) for i, leaf in zip(missing, combo))
+            merge(sub, fold_term(dst, lambda x: binding[x.index], pair, {}))
 
     # congruence: nodes whose children share classes share a class
-    nodes = [
-        (k, index[t.left], index[t.right]) for k, t in enumerate(universe) if isinstance(t, Node)
-    ]
-    changed = True
-    while changed:
-        changed = False
-        root = [find(k) for k in range(len(universe))]
-        sig = {}
-        for k, l, r in nodes:
-            first = sig.setdefault((root[l], root[r]), k)
-            if find(first) != find(k):
-                union(first, k)
-                changed = True
-    return find(index[Node(leaves[0], leaves[1])]) == find(index[Node(leaves[2], leaves[3])])
+    nodes = ids[num_leaves:]
+    while True:
+        sig = label[left[nodes]] * len(ids) + label[right[nodes]]
+        perm = np.argsort(sig)
+        same = np.diff(sig[perm]) == 0
+        runs = nodes[perm]
+        if not merge(runs[1:][same], runs[:-1][same]):
+            break
+    return bool(label[pair(0, 1)] == label[pair(2, 3)])
 
 
 _X1, _X2, _X3 = Var(1), Var(2), Var(3)

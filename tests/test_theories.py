@@ -19,6 +19,7 @@ from termalg.terms import (
     Node,
     Var,
     enumerate_terms,
+    enumerate_terms_by_length,
     parse_term,
     positions,
     random_term,
@@ -33,7 +34,9 @@ from termalg.theories import (
     Identity,
     OracleConfig,
     Theory,
+    _ground_collapse_proved,
     _node_or_var_key,
+    _numbered_terms,
     _single_rule_key,
     _sorts_before,
     _two_letter_patterns,
@@ -416,6 +419,67 @@ SINGLE_RULE_FLAGS = {
 }
 
 
+def ground_collapse_reference(rule: Identity) -> bool:
+    """The ground-collapse proof on interned Nodes, one Python union at a
+    time: the reference that _ground_collapse_proved must agree with."""
+    leaves = [Var(i) for i in range(1, 5)]
+    max_len = 5
+    universe = list(enumerate_terms_by_length(max_len, 4))
+    index = {t: k for k, t in enumerate(universe)}
+    parent = list(range(len(universe)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    directions = [
+        (src, dst, variables(dst)) for src, dst in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs))
+    ]
+    for k, sub in enumerate(universe):
+        for src, dst, dst_vars in directions:
+            binding = match_pattern(src, sub)
+            if binding is None:
+                continue
+            # Len of the instance; an unbound variable takes a leaf
+            if sum(binding[i].length if i in binding else 1 for i in dst_vars) > max_len:
+                continue
+            missing = sorted(set(dst_vars) - binding.keys())
+            for combo in itertools.product(leaves, repeat=len(missing)):
+                binding.update(zip(missing, combo))
+                union(k, index[substitute(dst, binding)])
+
+    # congruence: nodes whose children share classes share a class
+    nodes = [
+        (k, index[t.left], index[t.right]) for k, t in enumerate(universe) if isinstance(t, Node)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        root = [find(k) for k in range(len(universe))]
+        sig = {}
+        for k, l, r in nodes:
+            first = sig.setdefault((root[l], root[r]), k)
+            if find(first) != find(k):
+                union(first, k)
+                changed = True
+    return find(index[Node(leaves[0], leaves[1])]) == find(index[Node(leaves[2], leaves[3])])
+
+
+# the single-rule rules, plus a nonlinear left side whose right side has two
+# variables it lacks, and a rule none of whose instances fits in Len 5
+GROUND_COLLAPSE_SAMPLE = sorted(SINGLE_RULE_FLAGS) + [
+    "f(x1,x1)=f(x1,f(x2,x3))",
+    "f(x1,x2)=f(f(x3,x4),f(f(x5,x6),f(x7,x8)))",
+]
+
+
 class TestSetUpClosures:
     @pytest.mark.parametrize("ij", sorted(TWO_LETTER_PATTERNS))
     def test_two_letter_patterns(self, ij):
@@ -432,6 +496,28 @@ class TestSetUpClosures:
             assert key(t, {}) is rewrite_nf(t, ident.lhs, ident.rhs)
         exact = theory_from_name("grp-rule:" + rule).exact
         assert (convergent, node_collapse, exact) == SINGLE_RULE_FLAGS[rule]
+
+    @pytest.mark.parametrize("rule", GROUND_COLLAPSE_SAMPLE)
+    def test_ground_collapse_matches_the_node_reference(self, rule):
+        ident = Identity.parse(rule)
+        assert _ground_collapse_proved(ident) is ground_collapse_reference(ident)
+
+    def test_ground_collapse_with_two_new_variables_on_each_side(self):
+        # f(x1,x2) ~ f(f(x1,x2),x3) ~ f(x3,x4) in one step each way; the
+        # reference takes seconds here, as every node seeds 64 instances
+        rule = Identity.parse("f(f(x1,x2),x3)=f(x4,x5)")
+        assert _ground_collapse_proved(rule) is True
+
+    def test_numbered_terms_follow_the_enumeration(self):
+        universe = list(enumerate_terms_by_length(5, 4))
+        index = {t: k for k, t in enumerate(universe)}
+        length, left, right, pair = _numbered_terms(5, 4)
+        assert len(universe) == len(length) == 15764
+        assert length.tolist() == [t.length for t in universe]
+        nodes = [k for k, t in enumerate(universe) if isinstance(t, Node)]
+        assert left[nodes].tolist() == [index[universe[k].left] for k in nodes]
+        assert right[nodes].tolist() == [index[universe[k].right] for k in nodes]
+        assert pair(left[nodes], right[nodes]).tolist() == nodes
 
 
 class TestBoundedOracle:
